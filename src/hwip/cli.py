@@ -7,9 +7,9 @@ field of that JSON.  Exit codes: 0 all verdicts pass, 1 some verdict
 failed, 2 configuration error.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
-then the published default.  HWIP_THREADS / --threads are recorded in the
-config echo; all reductions are sequential deterministic folds, so outputs
-are byte-identical for any thread setting.
+then the published default.  Every run is single-threaded and all
+reductions are sequential deterministic folds, so outputs are a pure
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -58,18 +58,6 @@ def _resolve_seed(args, config: dict) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return int(args.threads)
-    env = os.environ.get("HWIP_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"HWIP_THREADS: not an integer: {env!r}") from exc
-    return 1
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -99,6 +87,11 @@ def _expect_number(doc: dict, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     return float(value)
+
+
+def _checked(config: dict, key: str, default, expect):
+    """``expect(config, key)`` when the key is present, else ``default``."""
+    return expect(config, key) if key in config else default
 
 
 def _model_from_config(config: dict, default_kind: str = "iid"):
@@ -275,9 +268,9 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         reports.append(
             certify_dyadic_lemma(
                 models,
-                paths_per_model=config.get("paths_per_model", 200),
-                n_max=config.get("n_max", 256),
-                p=config.get("p", 3.0),
+                paths_per_model=_checked(config, "paths_per_model", 200, _expect_int),
+                n_max=_checked(config, "n_max", 256, _expect_int),
+                p=_checked(config, "p", 3.0, _expect_number),
                 seed=seed,
             )
         )
@@ -285,9 +278,9 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         reports.append(
             certify_martingale_inequality(
                 mds_model("rademacher"),
-                p=config.get("p", 4.0),
+                p=_checked(config, "p", 4.0, _expect_number),
                 n_grid=config.get("n_grid", [64, 256, 1024]),
-                replicates=config.get("replicates", 400),
+                replicates=_checked(config, "replicates", 400, _expect_int),
                 seed=seed,
             )
         )
@@ -296,21 +289,21 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
             certify_mw_inequality(
                 renewal_model(3.0, 4),
                 variant="adapted",
-                p=config.get("p", 3.0),
+                p=_checked(config, "p", 3.0, _expect_number),
                 n_grid=config.get("n_grid", [64, 256, 1024]),
-                replicates=config.get("replicates", 400),
+                replicates=_checked(config, "replicates", 400, _expect_int),
                 seed=seed,
             )
         )
     if suite in ("fdd", "all"):
         rep = fdd_convergence_test(
             mds_model("rademacher"),
-            n=config.get("n", 2048),
-            replicates=config.get("replicates", 1000),
+            n=_checked(config, "n", 2048, _expect_int),
+            replicates=_checked(config, "replicates", 1000, _expect_int),
             time_grid=config.get("time_grid", [0.25, 0.5, 1.0]),
             seed=seed,
         )
-        threshold = config.get("ks_threshold", 0.05)
+        threshold = _checked(config, "ks_threshold", 0.05, _expect_number)
         passed = all(ks <= threshold for _, ks in rep.fdd)
         doc = {
             "experiment": "fdd_convergence",
@@ -321,16 +314,18 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         }
         reports.append(_Wrapped(doc))
     if suite in ("tightness", "all"):
-        spec = build_renewal_chain(config.get("p", 3.0), config.get("depth", 4))
+        spec = build_renewal_chain(
+            _checked(config, "p", 3.0, _expect_number), _checked(config, "depth", 4, _expect_int)
+        )
         eps = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
         reports.append(
             holder_tightness_diagnostic(
                 gaussian_contrast_model(spec),
                 p=spec.p,
                 n_grid=config.get("n_grid", [1024, 2048]),
-                replicates=config.get("replicates", 200),
+                replicates=_checked(config, "replicates", 200, _expect_int),
                 delta_grid=config.get("delta_grid", [0.25, 0.0625, 0.015625]),
-                epsilon=config.get("epsilon", eps),
+                epsilon=_checked(config, "epsilon", eps, _expect_number),
                 seed=seed,
             )
         )
@@ -380,6 +375,7 @@ def _cmd_report(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         lines.append(f"== {f.name} ==")
         lines.append(render_summary(doc))
     text = "\n".join(lines)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "summary_all.txt").write_text(text)
     sys.stdout.write(text)
     return 0 if all_pass else 1
@@ -397,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="master seed (overrides HWIP_SEED and config)")
         sp.add_argument("--out", default="hwip_out", help="output directory")
-        sp.add_argument("--threads", type=int, help="recorded; outputs are thread-count invariant")
         sp.add_argument("--format", choices=("json", "csv", "both"), default="both")
 
     sp = sub.add_parser("simulate", help="sample paths and their Hölder statistics")
@@ -447,11 +442,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         seed = _resolve_seed(args, config)
-        threads = _resolve_threads(args)
-        config = dict(config)
-        config["threads"] = threads
-        out = Path(args.out)
-        return args.func(args, config, seed, out, args.format)
+        return args.func(args, config, seed, Path(args.out), args.format)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

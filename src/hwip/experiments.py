@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .errors import CapabilityError, CapacityError
-from .holder import pairwise_coarsen, windowed_max_batch
+from .holder import lag_profile, pairwise_coarsen, windowed_max_batch
 from .models import (
     ProcessModel,
     RenewalChainSpec,
@@ -544,33 +544,6 @@ def holder_norm_distribution_ks(
 # ---------------------------------------------------------------------------
 
 
-def _windowed_stats_by_delta(
-    s: np.ndarray, alpha: float, windows: Sequence[int]
-) -> dict[int, np.ndarray]:
-    """Per-row windowed maxima at several window sizes from one lag sweep."""
-    n = s.shape[1] - 1
-    w_max = min(max(windows), n)
-    best = {w: np.zeros(s.shape[0]) for w in windows}
-    running = np.zeros(s.shape[0])
-    scratch = np.empty_like(s[:, 1:])
-    window_set = sorted(set(min(w, n) for w in windows))
-    idx = 0
-    for d in range(1, w_max + 1):
-        buf = scratch[:, : n + 1 - d]
-        np.subtract(s[:, d:], s[:, :-d], out=buf)
-        np.abs(buf, out=buf)
-        np.maximum(running, buf.max(axis=1) / d ** alpha, out=running)
-        while idx < len(window_set) and window_set[idx] == d:
-            for w in windows:
-                if min(w, n) == d:
-                    best[w] = running.copy()
-            idx += 1
-    for w in windows:
-        if min(w, n) > w_max:
-            best[w] = running.copy()
-    return best
-
-
 def holder_tightness_diagnostic(
     model: ProcessModel,
     p: float,
@@ -606,9 +579,9 @@ def holder_tightness_diagnostic(
         h = batch_increments(model, n, replicates, seed)
         s = _partial_sums(h)
         windows = [max(int(math.floor(n * d)), 1) for d in deltas]
-        by_window = _windowed_stats_by_delta(s, alpha, windows)
+        running = np.maximum.accumulate(lag_profile(s, alpha, max(windows)), axis=0)
         for d, w in zip(deltas, windows):
-            stat = by_window[w] * n ** (-1.0 / p)
+            stat = running[min(w, len(running)) - 1] * n ** (-1.0 / p)
             k = int(np.sum(stat > epsilon))
             prob = k / replicates
             lo, hi = wilson_interval(k, replicates)

@@ -7,10 +7,13 @@ For a path with partial sums ``S_0 .. S_n`` (``S_0 = 0``) and an exponent
 
 The alpha-Hölder seminorm of a polygonal line is attained at a pair of its
 vertices, so M is exactly the seminorm of the linear interpolant of the
-partial sums, measured with time in units of steps.  ``holder_max_exact``
-evaluates M by an exact pruned scan, ``holder_max_windowed`` restricts the
-maximum to pairs with ``j - i <= max_lag``, and ``dyadic_upper`` /
-``dyadic_lower`` are cheap two-sided bounds that sandwich the exact value.
+partial sums, measured with time in units of steps.  Restricting the pairs
+to ``j - i <= max_lag`` gives the windowed maximum, the modulus that decides
+tightness.  Every windowed or full maximum is read from one pruned lag
+sweep, ``lag_profile``: ``holder_max_windowed`` / ``holder_max_exact`` for
+one path with its attaining pair, ``windowed_max_batch`` for a batch of
+paths.  ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
+sandwich the exact value.
 """
 
 from __future__ import annotations
@@ -114,36 +117,66 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def lag_profile(partial_sums: np.ndarray, alpha: float, max_lag: int) -> np.ndarray:
+    """Per-lag vertex maxima of a batch of paths: the one lag sweep.
+
+    ``partial_sums`` has shape (rows, n + 1).  The result has shape
+    (lags, rows), lag-major: entry ``[d - 1, r]`` is
+    ``max_i |S_{i+d} - S_i| / d**alpha`` for row r.  Lags run upward from 1
+    and stop at ``min(max_lag, n)``, or earlier, once in every row the
+    oscillation envelope (max S - min S) / d**alpha falls strictly below the
+    running maximum.  The envelope decreases in d, so no later lag can reach
+    that maximum, and the profile may have fewer than max_lag lags.
+
+    Contract: an entry is exact whenever it could raise, or tie, the running
+    maximum of the entries before it in its row; any other entry lies
+    strictly below that maximum.  Callers read only running maxima and the
+    lags that attain them, so a kernel may store bounds in the other
+    entries.  Today every entry is exact.
+    """
+    alpha = _check_alpha(alpha)
+    s = np.ascontiguousarray(partial_sums, dtype=float)
+    if s.ndim != 2 or s.shape[1] < 2:
+        raise ValueError("partial_sums must be (replicates, n + 1) with n >= 1")
+    n = s.shape[1] - 1
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
+    max_lag = min(int(max_lag), n)
+    osc = s.max(axis=1) - s.min(axis=1)
+    best = np.zeros(s.shape[0])
+    profile = np.empty((max_lag, s.shape[0]))
+    scratch = np.empty_like(s[:, 1:])
+    for d in range(1, max_lag + 1):
+        scale = d ** alpha
+        if (osc / scale < best).all():
+            return profile[: d - 1]
+        buf = scratch[:, : n + 1 - d]
+        np.subtract(s[:, d:], s[:, :-d], out=buf)
+        np.abs(buf, out=buf)
+        row = profile[d - 1]
+        buf.max(axis=1, out=row)
+        row /= scale
+        np.maximum(best, row, out=best)
+    return profile
+
+
 def holder_max_windowed(path: PolygonalPath, alpha: float, max_lag: int) -> HolderStatistic:
     """Maximum of |S_j - S_i| / (j-i)^alpha over pairs with 1 <= j-i <= max_lag.
 
-    The scan walks lags in increasing order and stops once the oscillation
-    envelope (max S - min S) divided by lag^alpha falls strictly below the
-    running maximum; the envelope bound is monotone in the lag, so no
-    attaining pair can be skipped.  Ties are broken toward the smallest
-    (i, j) in lexicographic order.
+    The value is the maximum of the path's ``lag_profile``.  Ties are broken
+    toward the smallest (i, j) in lexicographic order: only the lags whose
+    profile entry attains the maximum are scanned again for their first
+    attaining start i.
     """
-    alpha = _check_alpha(alpha)
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
     s = path.partial_sums
-    n = path.n
-    max_lag = min(int(max_lag), n)
-    osc = float(s.max() - s.min())
-    best = -1.0
-    best_pair = (0, 1)
-    for d in range(1, max_lag + 1):
-        scale = d ** alpha
-        if osc / scale < best:
-            break
-        diff = np.abs(s[d:] - s[:-d])
-        i = int(np.argmax(diff))
-        v = float(diff[i]) / scale
-        if v > best or (v == best and (i, i + d) < best_pair):
-            best = v
-            best_pair = (i, i + d)
-    method = "exact_pairs" if max_lag == n else "windowed"
-    return HolderStatistic(value=best, method=method, alpha=alpha, argmax=best_pair)
+    profile = lag_profile(s[None, :], alpha, max_lag)[:, 0]
+    value = float(profile.max())
+    i, d = min(
+        (int(np.argmax(np.abs(s[d:] - s[:-d]))), d)
+        for d in (np.flatnonzero(profile == value) + 1).tolist()
+    )
+    method = "exact_pairs" if max_lag >= path.n else "windowed"
+    return HolderStatistic(value=value, method=method, alpha=float(alpha), argmax=(i, i + d))
 
 
 def holder_max_exact(path: PolygonalPath, alpha: float) -> HolderStatistic:
@@ -243,31 +276,10 @@ def windowed_max_batch(partial_sums: np.ndarray, alpha: float, max_lag: int) -> 
     """Row-wise windowed vertex maxima for a batch of paths.
 
     ``partial_sums`` has shape (replicates, n + 1); returns the vector of
-    max over 1 <= j-i <= max_lag of |S_j - S_i| / (j-i)^alpha per row.
-    Uses preallocated scratch and the same oscillation-envelope pruning as
-    the scalar scan (exact: a lag is skipped only when no pair in it can
-    reach the running row maximum).
+    max over 1 <= j-i <= max_lag of |S_j - S_i| / (j-i)^alpha per row, the
+    maximum over lags of ``lag_profile``.
     """
-    alpha = _check_alpha(alpha)
-    s = np.ascontiguousarray(partial_sums, dtype=float)
-    if s.ndim != 2 or s.shape[1] < 2:
-        raise ValueError("partial_sums must be (replicates, n + 1) with n >= 1")
-    n = s.shape[1] - 1
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    max_lag = min(int(max_lag), n)
-    osc = s.max(axis=1) - s.min(axis=1)
-    best = np.zeros(s.shape[0])
-    scratch = np.empty_like(s[:, 1:])
-    for d in range(1, max_lag + 1):
-        scale = d ** alpha
-        if np.all(osc / scale < best):
-            break
-        buf = scratch[:, : n + 1 - d]
-        np.subtract(s[:, d:], s[:, :-d], out=buf)
-        np.abs(buf, out=buf)
-        np.maximum(best, buf.max(axis=1) / scale, out=best)
-    return best
+    return lag_profile(partial_sums, alpha, max_lag).max(axis=0)
 
 
 def path_to_csv(path: PolygonalPath, fp: IO[str]) -> None:

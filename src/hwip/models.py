@@ -66,7 +66,6 @@ __all__ = [
     "gaussian_contrast_model",
     "sample_model",
     "apply_PT",
-    "conditional_sum_function",
     "model_to_json",
     "model_from_json",
 ]
@@ -616,15 +615,6 @@ def renewal_variance_constant(spec: RenewalChainSpec) -> float:
 # Process models
 # ---------------------------------------------------------------------------
 
-KINDS = (
-    "iid",
-    "martingale_difference",
-    "martingale_plus_coboundary",
-    "linear_process",
-    "renewal_chain",
-)
-
-
 @dataclass(frozen=True)
 class ProcessModel:
     """A sampler of stationary increments plus whatever oracles it supports.
@@ -645,14 +635,6 @@ class ProcessModel:
         if self.chain is not None:
             return True
         return self.increment_fn is not None and _window_span(self.increment_fn)[1] <= 0
-
-    @property
-    def has_PT_nonadapted(self) -> bool:
-        return self.chain is None and self.increment_fn is not None
-
-    @property
-    def has_conditional_sum(self) -> bool:
-        return self.has_PT_adapted
 
     def increment_lp_norm(self, p: float) -> float:
         """Exact L^p norm of the increment function."""
@@ -878,16 +860,6 @@ def semigroup_partial_sum(model: ProcessModel, variant: str, h, n: int):
             break
         total = total + term
     return total
-
-
-def conditional_sum_function(model: ProcessModel, n: int):
-    """E[S_n | past] for the model's own increment function (adapted models);
-    equals V_n f applied to the increment function."""
-    if model.chain is not None:
-        return ChainOracle(model.chain).v_sum(n)
-    if not model.has_PT_adapted:
-        raise CapabilityError(f"model {model.label!r} has no conditional-sum oracle")
-    return semigroup_partial_sum(model, "adapted", model.increment_fn, n)
 
 
 # ---------------------------------------------------------------------------

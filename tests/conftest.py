@@ -37,6 +37,20 @@ def brute_force_pair_max(partial_sums, alpha, max_lag=None):
     return best
 
 
+def brute_force_pair_argmax(partial_sums, alpha, max_lag=None):
+    """Lexicographically smallest pair (i, j) attaining brute_force_pair_max."""
+    s = np.asarray(partial_sums, dtype=float)
+    n = s.size - 1
+    max_lag = n if max_lag is None else min(max_lag, n)
+    best, best_pair = -1.0, None
+    for i in range(n):
+        for j in range(i + 1, min(i + max_lag, n) + 1):
+            v = abs(s[j] - s[i]) / (j - i) ** alpha
+            if v > best:
+                best, best_pair = v, (i, j)
+    return best_pair
+
+
 def grid_modulus(path: PolygonalPath, alpha: float, per_step: int = 8, window_steps=None):
     """Dense-grid search for the continuous alpha-modulus in step-time units.
 

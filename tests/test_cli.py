@@ -99,17 +99,25 @@ class TestConfigHandling:
         doc = json.loads((tmp_path / "b" / "report_dyadic_lemma.json").read_text())
         assert doc["config"]["seed"] == 33  # flag beats env
 
-    def test_byte_identical_across_thread_counts(self, tmp_path):
-        for threads, sub in (("1", "t1"), ("8", "t8")):
-            run(
-                [
-                    "certify", "--suite", "dyadic-lemma", "--seed", "9",
-                    "--threads", threads, "--out", str(tmp_path / sub),
-                ]
-            )
-        a = (tmp_path / "t1" / "report_dyadic_lemma.json").read_bytes()
-        b = (tmp_path / "t8" / "report_dyadic_lemma.json").read_bytes()
-        assert a == b
+    @pytest.mark.parametrize(
+        "suite, key, value",
+        [
+            ("martingale", "replicates", "many"),
+            ("dyadic-lemma", "paths_per_model", 2.5),
+            ("dyadic-lemma", "n_max", "256"),
+            ("dyadic-lemma", "p", "3"),
+            ("fdd", "n", None),
+            ("fdd", "ks_threshold", "tight"),
+            ("tightness", "depth", True),
+            ("tightness", "epsilon", [0.1]),
+        ],
+    )
+    def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run(["certify", "--suite", suite, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"configuration error: {key}:" in capsys.readouterr().err
 
 
 class TestNormsCommand:
@@ -153,6 +161,13 @@ class TestSimulateAndReport:
         code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "summary_all.txt").exists()
+
+    def test_report_creates_missing_out_dir(self, tmp_path):
+        run(["certify", "--suite", "dyadic-lemma", "--seed", "7", "--out", str(tmp_path)])
+        out = tmp_path / "new" / "dir"
+        code = run(["report", "--input", str(tmp_path), "--out", str(out)])
+        assert code == 0
+        assert (out / "summary_all.txt").read_text().startswith("== report_dyadic_lemma.json ==")
 
     def test_report_without_inputs_is_config_error(self, tmp_path, capsys):
         code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path)])

@@ -14,6 +14,7 @@ from hwip.holder import (
     holder_max_exact,
     holder_max_windowed,
     holder_norm_of_path,
+    lag_profile,
     modulus_restricted,
     pairwise_coarsen,
     path_from_csv,
@@ -21,7 +22,7 @@ from hwip.holder import (
     windowed_max_batch,
 )
 
-from conftest import brute_force_pair_max, grid_modulus
+from conftest import brute_force_pair_argmax, brute_force_pair_max, grid_modulus
 
 increments_st = arrays(
     np.float64,
@@ -29,6 +30,23 @@ increments_st = arrays(
     elements=st.floats(min_value=-10, max_value=10, allow_nan=False, width=64),
 )
 alpha_st = st.floats(min_value=0.05, max_value=0.45)
+
+
+@st.composite
+def sums_batch_st(draw, max_rows=3, max_n=40):
+    """Partial sums (rows, n + 1) from integer increments (which force ties),
+    float increments or a constant increment (a linear or constant path)."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["integer", "float", "constant"]))
+    if kind == "integer":
+        elements = st.integers(min_value=-2, max_value=2).map(float)
+    elif kind == "float":
+        elements = st.floats(min_value=-10, max_value=10, allow_nan=False, width=64)
+    else:
+        elements = st.just(float(draw(st.integers(min_value=-1, max_value=1))))
+    h = draw(arrays(np.float64, (rows, n), elements=elements))
+    return np.concatenate([np.zeros((rows, 1)), np.cumsum(h, axis=1)], axis=1)
 
 
 def path_of(*sums):
@@ -150,6 +168,46 @@ class TestWindowed:
             assert batch[r] == pytest.approx(
                 holder_max_windowed(PolygonalPath(s[r]), 0.3, 12).value, rel=1e-14
             )
+
+
+class TestLagProfile:
+    @settings(max_examples=120, deadline=None)
+    @given(sums_batch_st(), alpha_st, st.data())
+    def test_running_max_reads_every_window(self, s, alpha, data):
+        # The read holder_tightness_diagnostic makes: the running maximum
+        # of one profile at each window, capped at the lags it returned.
+        n = s.shape[1] - 1
+        windows = data.draw(st.lists(st.integers(min_value=1, max_value=n + 2), min_size=1, max_size=3))
+        running = np.maximum.accumulate(lag_profile(s, alpha, max(windows)), axis=0)
+        assert 1 <= len(running) <= min(max(windows), n)
+        for w in windows:
+            row = running[min(w, len(running)) - 1]
+            np.testing.assert_array_equal(row, windowed_max_batch(s, alpha, w))
+            for r in range(s.shape[0]):
+                assert row[r] == brute_force_pair_max(s[r], alpha, w)
+
+    @settings(max_examples=120, deadline=None)
+    @given(sums_batch_st(max_rows=1), alpha_st, st.data())
+    def test_windowed_argmax_is_lexicographic_first(self, s, alpha, data):
+        lag = data.draw(st.integers(min_value=1, max_value=s.shape[1]))
+        stat = holder_max_windowed(PolygonalPath(s[0]), alpha, lag)
+        assert stat.value == brute_force_pair_max(s[0], alpha, lag)
+        assert stat.argmax == brute_force_pair_argmax(s[0], alpha, lag)
+
+    def test_profile_stops_at_envelope(self):
+        # One jump of 1 at the first step: lag 1 attains 1, and from lag 2
+        # on the envelope 1 / d**alpha is below it in the only row.
+        s = np.array([[0.0, 1.0, 1.0, 1.0, 1.0]])
+        profile = lag_profile(s, 0.25, 4)
+        np.testing.assert_array_equal(profile, [[1.0]])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            lag_profile(np.zeros(5), 0.25, 2)
+        with pytest.raises(ValueError):
+            lag_profile(np.zeros((2, 1)), 0.25, 1)
+        with pytest.raises(ValueError):
+            lag_profile(np.zeros((2, 3)), 0.25, 0)
 
 
 class TestNormalizedStatistics:
