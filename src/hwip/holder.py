@@ -165,14 +165,17 @@ def holder_max_windowed(path: PolygonalPath, alpha: float, max_lag: int) -> Hold
 
     The value is the maximum of the path's ``lag_profile``.  Ties are broken
     toward the smallest (i, j) in lexicographic order: only the lags whose
-    profile entry attains the maximum are scanned again for their first
-    attaining start i.
+    profile entry attains the maximum are scanned again for the first start
+    i whose quotient equals it.
     """
+    alpha = _check_alpha(alpha)
     s = path.partial_sums
     profile = lag_profile(s[None, :], alpha, max_lag)[:, 0]
     value = float(profile.max())
+    # Rescan the quotients, not the raw differences: two differences can
+    # round to the same quotient, and the first pair attaining it wins.
     i, d = min(
-        (int(np.argmax(np.abs(s[d:] - s[:-d]))), d)
+        (int(np.argmax(np.abs(s[d:] - s[:-d]) / d ** alpha == value)), d)
         for d in (np.flatnonzero(profile == value) + 1).tolist()
     )
     method = "exact_pairs" if max_lag >= path.n else "windowed"
