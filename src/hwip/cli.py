@@ -89,6 +89,18 @@ def _expect_number(doc: dict, key: str) -> float:
     return float(value)
 
 
+def _list_of(expect):
+    """Check for a nonempty list whose every item passes ``expect``."""
+
+    def check(doc: dict, key: str) -> list:
+        value = doc[key]
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key}: expected a nonempty list, got {value!r}")
+        return [expect({key: item}, key) for item in value]
+
+    return check
+
+
 def _checked(config: dict, key: str, default, expect):
     """``expect(config, key)`` when the key is present, else ``default``."""
     return expect(config, key) if key in config else default
@@ -162,14 +174,17 @@ class _Wrapped:
 
 def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     model = _model_from_config(config)
-    n = args.n if args.n is not None else config.get("n", 1024)
-    replicates = args.replicates if args.replicates is not None else config.get("replicates", 1)
-    p = args.p if args.p is not None else config.get("p", 3.0)
+    n = args.n if args.n is not None else _checked(config, "n", 1024, _expect_int)
+    replicates = (
+        args.replicates if args.replicates is not None
+        else _checked(config, "replicates", 1, _expect_int)
+    )
+    p = args.p if args.p is not None else _checked(config, "p", 3.0, _expect_number)
     alpha = 0.5 - 1.0 / p
     rows = []
     stats = []
-    for r in range(int(replicates)):
-        inc = sample_model(model, int(n), substream(seed, r))
+    for r in range(replicates):
+        inc = sample_model(model, n, substream(seed, r))
         path = PolygonalPath.from_increments(inc)
         m_stat = holder_max_exact(path, alpha)
         stats.append(
@@ -186,8 +201,8 @@ def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         "experiment": "simulate",
         "config": {
             "model": model.to_dict(),
-            "n": int(n),
-            "replicates": int(replicates),
+            "n": n,
+            "replicates": replicates,
             "p": p,
             "seed": seed,
         },
@@ -201,15 +216,18 @@ def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
 
 def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     which = args.which
-    p = args.p if args.p is not None else config.get("p", 3.0)
+    p = args.p if args.p is not None else _checked(config, "p", 3.0, _expect_number)
     if which == "weak-lp":
-        n_samples = args.samples if args.samples is not None else config.get("samples", 100000)
+        n_samples = (
+            args.samples if args.samples is not None
+            else _checked(config, "samples", 100000, _expect_int)
+        )
         rng = substream(seed, 0)
-        samples = rng.uniform(size=int(n_samples)) ** (-1.0 / p)
+        samples = rng.uniform(size=n_samples) ** (-1.0 / p)
         est = empirical_weak_lp(samples, p)
         doc = {
             "experiment": "weak_lp_pareto",
-            "config": {"p": p, "samples": int(n_samples), "seed": seed},
+            "config": {"p": p, "samples": n_samples, "seed": seed},
             "estimate": est.to_dict(),
             "passed": True,
             "verdict": "estimated",
@@ -219,11 +237,11 @@ def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     model = _model_from_config(config, default_kind="renewal_chain")
     if which == "mw-norm":
         variant = args.variant or config.get("variant", "adapted")
-        J = args.J if args.J is not None else config.get("J", 12)
-        rep = mw_norm(model, variant, p, int(J))
+        J = args.J if args.J is not None else _checked(config, "J", 12, _expect_int)
+        rep = mw_norm(model, variant, p, J)
         doc = {
             "experiment": "mw_norm",
-            "config": {"model": model.to_dict(), "p": p, "J": int(J), "variant": variant, "seed": seed},
+            "config": {"model": model.to_dict(), "p": p, "J": J, "variant": variant, "seed": seed},
             "report": rep.to_dict(),
             "passed": bool(rep.converged),
             "verdict": "converged" if rep.converged else "not converged at J",
@@ -231,19 +249,19 @@ def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         _write_outputs(out, "mw_norm", _Wrapped(doc), fmt)
         return 0 if rep.converged else 1
     if which == "mw-series":
-        N = args.N if args.N is not None else config.get("N", 1 << 14)
+        N = args.N if args.N is not None else _checked(config, "N", 1 << 14, _expect_int)
         weights = None
         weighted = args.weights or config.get("weights", "ones")
         if weighted == "counterexample":
             if model.chain is None:
                 raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
-            weights = counterexample_weights(model.chain, int(N))
+            weights = counterexample_weights(model.chain, N)
         elif weighted != "ones":
             raise ConfigError(f"weights: unknown scheme {weighted!r}")
-        diag = mw_series_diagnostic(model, p, weights, int(N))
+        diag = mw_series_diagnostic(model, p, weights, N)
         doc = {
             "experiment": "mw_series",
-            "config": {"model": model.to_dict(), "p": p, "N": int(N), "weights": weighted, "seed": seed},
+            "config": {"model": model.to_dict(), "p": p, "N": N, "weights": weighted, "seed": seed},
             "report": diag.to_dict(),
             "passed": True,
             "verdict": diag.verdict,
@@ -279,7 +297,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
             certify_martingale_inequality(
                 mds_model("rademacher"),
                 p=_checked(config, "p", 4.0, _expect_number),
-                n_grid=config.get("n_grid", [64, 256, 1024]),
+                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_expect_int)),
                 replicates=_checked(config, "replicates", 400, _expect_int),
                 seed=seed,
             )
@@ -290,7 +308,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
                 renewal_model(3.0, 4),
                 variant="adapted",
                 p=_checked(config, "p", 3.0, _expect_number),
-                n_grid=config.get("n_grid", [64, 256, 1024]),
+                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_expect_int)),
                 replicates=_checked(config, "replicates", 400, _expect_int),
                 seed=seed,
             )
@@ -300,7 +318,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
             mds_model("rademacher"),
             n=_checked(config, "n", 2048, _expect_int),
             replicates=_checked(config, "replicates", 1000, _expect_int),
-            time_grid=config.get("time_grid", [0.25, 0.5, 1.0]),
+            time_grid=_checked(config, "time_grid", [0.25, 0.5, 1.0], _list_of(_expect_number)),
             seed=seed,
         )
         threshold = _checked(config, "ks_threshold", 0.05, _expect_number)
@@ -322,9 +340,11 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
             holder_tightness_diagnostic(
                 gaussian_contrast_model(spec),
                 p=spec.p,
-                n_grid=config.get("n_grid", [1024, 2048]),
+                n_grid=_checked(config, "n_grid", [1024, 2048], _list_of(_expect_int)),
                 replicates=_checked(config, "replicates", 200, _expect_int),
-                delta_grid=config.get("delta_grid", [0.25, 0.0625, 0.015625]),
+                delta_grid=_checked(
+                    config, "delta_grid", [0.25, 0.0625, 0.015625], _list_of(_expect_number)
+                ),
                 epsilon=_checked(config, "epsilon", eps, _expect_number),
                 seed=seed,
             )
@@ -339,23 +359,25 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
 
 
 def _cmd_counterexample(args, config: dict, seed: int, out: Path, fmt: str) -> int:
-    p = args.p if args.p is not None else config.get("p", 3.0)
-    depth = args.depth if args.depth is not None else config.get("depth", 4)
-    K = args.K if args.K is not None else config.get("K", 2)
-    delta = args.delta if args.delta is not None else config.get("delta", 1e-3)
-    j_level = args.j if args.j is not None else config.get("j", depth)
-    replicates = args.replicates if args.replicates is not None else config.get("replicates", 200)
-    spec = build_renewal_chain(float(p), int(depth))
+    p = args.p if args.p is not None else _checked(config, "p", 3.0, _expect_number)
+    depth = args.depth if args.depth is not None else _checked(config, "depth", 4, _expect_int)
+    K = args.K if args.K is not None else _checked(config, "K", 2, _expect_int)
+    delta = args.delta if args.delta is not None else _checked(config, "delta", 1e-3, _expect_number)
+    j_level = args.j if args.j is not None else _checked(config, "j", depth, _expect_int)
+    replicates = (
+        args.replicates if args.replicates is not None
+        else _checked(config, "replicates", 200, _expect_int)
+    )
+    spec = build_renewal_chain(p, depth)
     rep = nontightness_experiment(
-        spec, K=int(K), j_level=int(j_level), delta=float(delta),
-        replicates=int(replicates), seed=seed,
+        spec, K=K, j_level=j_level, delta=delta, replicates=replicates, seed=seed,
     )
     _write_outputs(out, "counterexample", rep, fmt)
     exit_code = 0 if rep.passed else 1
     if args.contrast:
         con = nontightness_experiment(
-            spec, K=int(K), j_level=int(j_level), delta=float(delta),
-            replicates=int(replicates), seed=seed, process="gaussian",
+            spec, K=K, j_level=j_level, delta=delta, replicates=replicates, seed=seed,
+            process="gaussian",
         )
         _write_outputs(out, "counterexample_contrast", con, fmt)
     return exit_code

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .errors import CapabilityError, CapacityError
-from .holder import lag_profile, pairwise_coarsen, windowed_max_batch
+from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
     ProcessModel,
     RenewalChainSpec,
@@ -579,9 +579,9 @@ def holder_tightness_diagnostic(
         h = batch_increments(model, n, replicates, seed)
         s = _partial_sums(h)
         windows = [max(int(math.floor(n * d)), 1) for d in deltas]
-        running = np.maximum.accumulate(lag_profile(s, alpha, max(windows)), axis=0)
-        for d, w in zip(deltas, windows):
-            stat = running[min(w, len(running)) - 1] * n ** (-1.0 / p)
+        maxima = windowed_maxima(s, alpha, windows)
+        for d, w, row in zip(deltas, windows, maxima):
+            stat = row * n ** (-1.0 / p)
             k = int(np.sum(stat > epsilon))
             prob = k / replicates
             lo, hi = wilson_interval(k, replicates)

@@ -9,10 +9,14 @@ The alpha-Hölder seminorm of a polygonal line is attained at a pair of its
 vertices, so M is exactly the seminorm of the linear interpolant of the
 partial sums, measured with time in units of steps.  Restricting the pairs
 to ``j - i <= max_lag`` gives the windowed maximum, the modulus that decides
-tightness.  Every windowed or full maximum is read from one pruned lag
-sweep, ``lag_profile``: ``holder_max_windowed`` / ``holder_max_exact`` for
-one path with its attaining pair, ``windowed_max_batch`` for a batch of
-paths.  ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
+tightness.  Every windowed or full maximum comes from one exact
+branch-and-bound lag sweep, ``windowed_maxima``, for a batch of paths and
+several windows at once: per segment of lags it bounds each block of
+starts from a pyramid of block minima and maxima and scans only the blocks
+whose bound reaches the running maximum.  ``holder_max_windowed`` /
+``holder_max_exact`` read it for one path with its attaining pair,
+``windowed_max_batch`` for a batch of paths and one window.
+``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
 sandwich the exact value.
 """
 
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "PolygonalPath",
@@ -117,69 +122,267 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def lag_profile(partial_sums: np.ndarray, alpha: float, max_lag: int) -> np.ndarray:
-    """Per-lag vertex maxima of a batch of paths: the one lag sweep.
+#: Smallest block of the extrema pyramid, and so of the start blocks.
+_BASE = 16
+#: Elements per temporary array of the lag sweep (2 MiB of floats); only a
+#: single row, or a single start's lags, can need more.
+_CHUNK = 1 << 18
 
-    ``partial_sums`` has shape (rows, n + 1).  The result has shape
-    (lags, rows), lag-major: entry ``[d - 1, r]`` is
-    ``max_i |S_{i+d} - S_i| / d**alpha`` for row r.  Lags run upward from 1
-    and stop at ``min(max_lag, n)``, or earlier, once in every row the
-    oscillation envelope (max S - min S) / d**alpha falls strictly below the
-    running maximum.  The envelope decreases in d, so no later lag can reach
-    that maximum, and the profile may have fewer than max_lag lags.
 
-    Contract: an entry is exact whenever it could raise, or tie, the running
-    maximum of the entries before it in its row; any other entry lies
-    strictly below that maximum.  Callers read only running maxima and the
-    lags that attain them, so a kernel may store bounds in the other
-    entries.  Today every entry is exact.
+def _scales(lo: int, hi: int, alpha: float) -> np.ndarray:
+    """``d ** alpha`` for the lags lo..hi, by Python's float power."""
+    return np.array([d ** alpha for d in range(lo, hi + 1)])
+
+
+def _block_size(lag: int) -> int:
+    """Start-block size for the lags of the dyadic class [D, 2D) holding
+    ``lag``: an eighth of D, and at least ``_BASE``.  Lag segments are as
+    wide as the blocks, so at long lags a bound spans an eighth of a lag
+    class in starts and in lags."""
+    return max(_BASE, (1 << (lag.bit_length() - 1)) >> 3)
+
+
+def _lag_segments(first: int, last: int):
+    """Split the lags first..last into segments ``(lo, hi, level)``.
+
+    A segment lies inside one dyadic class [D, 2D) and inside one aligned
+    run of B = ``_block_size(D)`` lags, where B = ``_BASE << level``.  So a
+    block of B starts, shifted by the segment's lags, ends in at most two
+    blocks of the same size (``_block_bounds`` relies on it).
+    """
+    lo = first
+    while lo <= last:
+        top = 1 << lo.bit_length()
+        size = _block_size(lo)
+        hi = min(last, top - 1, (lo // size + 1) * size - 1)
+        yield lo, hi, (size // _BASE).bit_length() - 1
+        lo = hi + 1
+
+
+def _halve(x: np.ndarray, reduce) -> np.ndarray:
+    """Pairwise ``reduce`` of neighbouring columns; an odd last column is
+    carried over."""
+    h = x.shape[1] // 2
+    y = np.empty((x.shape[0], x.shape[1] - h))
+    reduce(x[:, 0 : 2 * h : 2], x[:, 1 : 2 * h : 2], out=y[:, :h])
+    if x.shape[1] % 2:
+        y[:, h] = x[:, -1]
+    return y
+
+
+def _extrema_pyramid(s: np.ndarray, top: int) -> list[tuple[np.ndarray, ...]]:
+    """Block extrema of the partial sums for block sizes _BASE, 2 _BASE, .., top.
+
+    Entry ``level`` is ``(mn, mx, mn2, mx2)``: per row, the minimum and the
+    maximum of each aligned block of ``_BASE << level`` sums (the last block
+    may be short), and of each block together with its right neighbour.
+    Built by pairwise reduction of a few rows at a time, without copying s.
+    """
+    rows, m = s.shape
+    first = _BASE.bit_length() - 1
+    levels = (top // _BASE).bit_length()
+    pyramid = []
+    width = m
+    for k in range(first + levels):
+        if k >= first:
+            pyramid.append((np.empty((rows, width)), np.empty((rows, width))))
+        width -= width // 2
+    per = max(1, _CHUNK // m)
+    for r0 in range(0, rows, per):
+        mn = mx = s[r0 : r0 + per]
+        for k in range(first + levels):
+            if k:
+                mn, mx = _halve(mn, np.minimum), _halve(mx, np.maximum)
+            if k >= first:
+                pyramid[k - first][0][r0 : r0 + per] = mn
+                pyramid[k - first][1][r0 : r0 + per] = mx
+    for level, (mn, mx) in enumerate(pyramid):
+        mn2, mx2 = mn.copy(), mx.copy()
+        np.minimum(mn[:, :-1], mn[:, 1:], out=mn2[:, :-1])
+        np.maximum(mx[:, :-1], mx[:, 1:], out=mx2[:, :-1])
+        pyramid[level] = (mn, mx, mn2, mx2)
+    return pyramid
+
+
+def _block_bounds(pyramid, level: int, lo: int, n: int, alpha: float) -> np.ndarray:
+    """Per row and start block, an upper bound on the quotients of the
+    block's pairs at the lags of the segment starting at ``lo``.
+
+    Block k holds the starts [kB, (k+1)B), B = ``_BASE << level``; the
+    blocks run while some start has lag ``lo`` in range.  Its ends lie in
+    blocks k + lo//B and the one after (see ``_lag_segments``), so
+    ``S_j - S_i <= max_J - min_I`` and ``S_i - S_j <= max_I - min_J``.
+    Rounding is monotone, so ``fl(S_j - S_i) <= fl(max_J - min_I)``; and
+    dividing by ``lo ** alpha <= d ** alpha`` only raises the quotient.
+    """
+    mn, mx, mn2, mx2 = pyramid[level]
+    size = _BASE << level
+    c = lo // size
+    k = (n - lo) // size + 1
+    up = mx2[:, c : c + k] - mn[:, :k]
+    np.maximum(up, mx[:, :k] - mn2[:, c : c + k], out=up)
+    up /= lo ** alpha
+    return up
+
+
+def _block_differences(s: np.ndarray, rows: np.ndarray, starts: np.ndarray, size: int, lo: int, hi: int):
+    """``|S_{i+d} - S_i|`` for the starts a <= i < a + size and the lags
+    lo..hi of each (row, a), gathered a few blocks at a time.
+
+    Yields ``(rows, a, diff)`` with ``diff[c, p, d - lo]`` for start
+    ``a[c] + p``.  Indices past n are clipped to n.  A start past n then
+    gives 0; a start i <= n with i + d > n gives the real pair (i, n)
+    divided by the larger scale ``d ** alpha``, never above that pair's own
+    quotient, which lies in the window too.
+    """
+    n = s.shape[1] - 1
+    lags = hi - lo + 1
+    piece = size
+    while piece > 1 and piece * lags > _CHUNK:
+        piece //= 2
+    if piece < size:
+        starts = (starts[:, None] + np.arange(0, size, piece)).ravel()
+        rows = np.repeat(rows, size // piece)
+    step = max(1, _CHUNK // (piece * lags))
+    at_i = np.arange(piece)
+    at_j = np.arange(lo, lo + piece + lags - 1)
+    for c0 in range(0, starts.size, step):
+        a = starts[c0 : c0 + step, None]
+        r = rows[c0 : c0 + step, None]
+        s_i = s[r, np.minimum(a + at_i, n)]
+        s_j = s[r, np.minimum(a + at_j, n)]
+        diff = sliding_window_view(s_j, lags, axis=1) - s_i[:, :, None]
+        yield r[:, 0], a[:, 0], np.abs(diff, out=diff)
+
+
+def _dense_maxima(s: np.ndarray, lo: int, hi: int, alpha: float) -> np.ndarray:
+    """Per row, ``max_i |S_{i+d} - S_i| / d**alpha`` over the lags lo..hi,
+    lag by lag over a few rows at a time."""
+    rows, m = s.shape
+    per = max(1, _CHUNK // (m - lo))
+    scratch = np.empty((min(per, rows), m - lo))
+    scales = _scales(lo, hi, alpha)[:, None]
+    out = np.empty(rows)
+    for r0 in range(0, rows, per):
+        sub = s[r0 : r0 + per]
+        maxima = np.empty((hi - lo + 1, sub.shape[0]))
+        for d in range(lo, hi + 1):
+            buf = scratch[: sub.shape[0], : m - d]
+            np.subtract(sub[:, d:], sub[:, :-d], out=buf)
+            np.abs(buf, out=buf)
+            buf.max(axis=1, out=maxima[d - lo])
+        maxima /= scales
+        maxima.max(axis=0, out=out[r0 : r0 + per])
+    return out
+
+
+def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[int]) -> np.ndarray:
+    """Windowed vertex maxima of a batch of paths, for several windows: the
+    one lag sweep.
+
+    ``partial_sums`` has shape (rows, n + 1) and finite entries.  Entry
+    ``[k, r]`` of the (len(windows), rows) result is
+    ``max |S_j - S_i| / (j - i)**alpha`` over the pairs of row r with
+    ``1 <= j - i <= windows[k]``, bit for bit the maximum of the dense
+    per-lag sweep.
+
+    Branch and bound.  Windows are taken in increasing order, each
+    extending the running maximum ``best`` of the smaller ones.  A window
+    first folds in the exact maxima at its top lag; then, segment by
+    segment of its remaining lags (``_lag_segments``), each start block of
+    each row is bounded from the block extrema (``_block_bounds``).  A
+    block whose bound lies strictly below its row's ``best`` holds no pair
+    that reaches it, and is skipped.  The other blocks are scanned exactly;
+    when they are more than half of the segment, the segment is swept
+    densely lag by lag instead.  Once in every row the oscillation envelope
+    ``(max S - min S) / lo**alpha`` falls strictly below ``best``, no later
+    lag can reach it, and the sweep stops.
     """
     alpha = _check_alpha(alpha)
     s = np.ascontiguousarray(partial_sums, dtype=float)
     if s.ndim != 2 or s.shape[1] < 2:
         raise ValueError("partial_sums must be (replicates, n + 1) with n >= 1")
     n = s.shape[1] - 1
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    max_lag = min(int(max_lag), n)
-    osc = s.max(axis=1) - s.min(axis=1)
+    tops = [min(int(w), n) for w in windows]
+    if not tops or min(tops) < 1:
+        raise ValueError("windows must be a nonempty list of lags >= 1")
+    pyramid = _extrema_pyramid(s, _block_size(max(tops)))
+    low, high = pyramid[-1][0].min(axis=1), pyramid[-1][1].max(axis=1)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        raise ValueError("partial_sums must be finite")
+    osc = high - low
     best = np.zeros(s.shape[0])
-    profile = np.empty((max_lag, s.shape[0]))
-    scratch = np.empty_like(s[:, 1:])
-    for d in range(1, max_lag + 1):
-        scale = d ** alpha
-        if (osc / scale < best).all():
-            return profile[: d - 1]
-        buf = scratch[:, : n + 1 - d]
-        np.subtract(s[:, d:], s[:, :-d], out=buf)
-        np.abs(buf, out=buf)
-        row = profile[d - 1]
-        buf.max(axis=1, out=row)
-        row /= scale
-        np.maximum(best, row, out=best)
-    return profile
+    out = np.empty((len(tops), s.shape[0]))
+    done = 0  # every lag <= done is folded into best
+    for k in sorted(range(len(tops)), key=tops.__getitem__):
+        w = tops[k]
+        if done < w:
+            np.maximum(best, _dense_maxima(s, w, w, alpha), out=best)
+            for lo, hi, level in _lag_segments(done + 1, w - 1):
+                if (osc / lo ** alpha < best).all():
+                    w = n
+                    break
+                keep = _block_bounds(pyramid, level, lo, n, alpha) >= best[:, None]
+                survivors = np.count_nonzero(keep)
+                if 2 * survivors > keep.size:
+                    np.maximum(best, _dense_maxima(s, lo, hi, alpha), out=best)
+                elif survivors:
+                    size = _BASE << level
+                    rows, blocks = np.nonzero(keep)
+                    scales = _scales(lo, hi, alpha)
+                    for r, _, diff in _block_differences(s, rows, blocks * size, size, lo, hi):
+                        per_lag = diff.max(axis=1)
+                        per_lag /= scales
+                        np.maximum.at(best, r, per_lag.max(axis=1))
+            done = w
+        out[k] = best
+    return out
+
+
+def _first_pair(s: np.ndarray, alpha: float, window: int, value: float) -> tuple[int, int]:
+    """Lexicographically smallest pair (i, j), 1 <= j - i <= window, whose
+    quotient equals ``value``, the path's windowed maximum.
+
+    A pair attaining the maximum lies in a start block whose bound reaches
+    it, so only those blocks are scanned; every quotient is >= 0, so a
+    maximum of 0 is attained first by (0, 1).
+    """
+    if value == 0.0:
+        return 0, 1
+    n = s.size - 1
+    s = s[None, :]
+    pyramid = _extrema_pyramid(s, _block_size(window))
+    first = (n + 1) ** 2  # pairs keyed by i * (n + 1) + j
+    for lo, hi, level in _lag_segments(1, window):
+        size = _BASE << level
+        blocks = np.flatnonzero(_block_bounds(pyramid, level, lo, n, alpha)[0] >= value)
+        if blocks.size == 0:
+            continue
+        scales = _scales(lo, hi, alpha)
+        for _, a, diff in _block_differences(s, np.zeros_like(blocks), blocks * size, size, lo, hi):
+            c, p, t = np.nonzero(diff / scales == value)
+            i = a[c] + p
+            j = i + lo + t
+            keys = (i * (n + 1) + j)[j <= n]
+            if keys.size:
+                first = min(first, int(keys.min()))
+    return divmod(first, n + 1)
 
 
 def holder_max_windowed(path: PolygonalPath, alpha: float, max_lag: int) -> HolderStatistic:
     """Maximum of |S_j - S_i| / (j-i)^alpha over pairs with 1 <= j-i <= max_lag.
 
-    The value is the maximum of the path's ``lag_profile``.  Ties are broken
-    toward the smallest (i, j) in lexicographic order: only the lags whose
-    profile entry attains the maximum are scanned again for the first start
-    i whose quotient equals it.
+    The value is the path's ``windowed_maxima``.  Ties are broken toward
+    the smallest (i, j) in lexicographic order, among the pairs in the
+    start blocks whose bound reaches the maximum (every other pair lies
+    strictly below it).
     """
     alpha = _check_alpha(alpha)
     s = path.partial_sums
-    profile = lag_profile(s[None, :], alpha, max_lag)[:, 0]
-    value = float(profile.max())
-    # Rescan the quotients, not the raw differences: two differences can
-    # round to the same quotient, and the first pair attaining it wins.
-    i, d = min(
-        (int(np.argmax(np.abs(s[d:] - s[:-d]) / d ** alpha == value)), d)
-        for d in (np.flatnonzero(profile == value) + 1).tolist()
-    )
+    value = float(windowed_maxima(s[None, :], alpha, [max_lag])[0, 0])
+    i, j = _first_pair(s, alpha, min(int(max_lag), path.n), value)
     method = "exact_pairs" if max_lag >= path.n else "windowed"
-    return HolderStatistic(value=value, method=method, alpha=float(alpha), argmax=(i, i + d))
+    return HolderStatistic(value=value, method=method, alpha=float(alpha), argmax=(i, j))
 
 
 def holder_max_exact(path: PolygonalPath, alpha: float) -> HolderStatistic:
@@ -279,10 +482,10 @@ def windowed_max_batch(partial_sums: np.ndarray, alpha: float, max_lag: int) -> 
     """Row-wise windowed vertex maxima for a batch of paths.
 
     ``partial_sums`` has shape (replicates, n + 1); returns the vector of
-    max over 1 <= j-i <= max_lag of |S_j - S_i| / (j-i)^alpha per row, the
-    maximum over lags of ``lag_profile``.
+    max over 1 <= j-i <= max_lag of |S_j - S_i| / (j-i)^alpha per row: the
+    one-window case of ``windowed_maxima``.
     """
-    return lag_profile(partial_sums, alpha, max_lag).max(axis=0)
+    return windowed_maxima(partial_sums, alpha, [max_lag])[0]
 
 
 def path_to_csv(path: PolygonalPath, fp: IO[str]) -> None:

@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's optimized code paths:
-pair maxima by double loop, the continuous modulus by dense grid search,
-conditional sums by direct chain stepping.
+pair maxima by double loop or by the dense per-lag sweep, the continuous
+modulus by dense grid search, conditional sums by direct chain stepping.
 """
 
 from __future__ import annotations
@@ -49,6 +49,21 @@ def brute_force_pair_argmax(partial_sums, alpha, max_lag=None):
             if v > best:
                 best, best_pair = v, (i, j)
     return best_pair
+
+
+def dense_windowed_maxima(partial_sums, alpha, windows):
+    """The dense per-lag sweep: for every lag d up to the largest window,
+    max_i |S_{i+d} - S_i| / d**alpha per row, with the running maximum
+    over lags read at each window.  Shape (len(windows), rows)."""
+    s = np.asarray(partial_sums, dtype=float)
+    n = s.shape[1] - 1
+    tops = [min(int(w), n) for w in windows]
+    running = np.zeros(s.shape[0])
+    profile = []
+    for d in range(1, max(tops) + 1):
+        np.maximum(running, np.abs(s[:, d:] - s[:, :-d]).max(axis=1) / d ** alpha, out=running)
+        profile.append(running.copy())
+    return np.array([profile[w - 1] for w in tops])
 
 
 def grid_modulus(path: PolygonalPath, alpha: float, per_step: int = 8, window_steps=None):

@@ -110,6 +110,12 @@ class TestConfigHandling:
             ("fdd", "ks_threshold", "tight"),
             ("tightness", "depth", True),
             ("tightness", "epsilon", [0.1]),
+            ("martingale", "n_grid", "64"),
+            ("mw", "n_grid", [64, 256.0]),
+            ("tightness", "n_grid", []),
+            ("tightness", "delta_grid", 0.5),
+            ("tightness", "delta_grid", [0.25, "half"]),
+            ("fdd", "time_grid", {"t": 0.5}),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -118,6 +124,38 @@ class TestConfigHandling:
         code = run(["certify", "--suite", suite, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert f"configuration error: {key}:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["simulate"], "replicates", "many"),
+            (["simulate"], "n", 2.5),
+            (["simulate"], "p", "3"),
+            (["counterexample"], "K", "two"),
+            (["counterexample"], "delta", "small"),
+            (["counterexample"], "j", 1.5),
+            (["counterexample"], "replicates", None),
+            (["norms", "--which", "weak-lp"], "samples", "many"),
+            (["norms", "--which", "mw-norm"], "J", "12"),
+            (["norms", "--which", "mw-series"], "N", 1.5),
+        ],
+    )
+    def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run([*argv, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"configuration error: {key}:" in capsys.readouterr().err
+
+    def test_config_values_are_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 32, "replicates": 2, "p": 4}))
+        code = run(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "report_simulate.json").read_text())
+        assert (doc["config"]["n"], doc["config"]["replicates"], doc["config"]["p"]) == (32, 2, 4.0)
+        assert len(doc["per_point"]) == 2
 
 
 class TestNormsCommand:

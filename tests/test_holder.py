@@ -8,21 +8,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hwip.holder import (
+    _BASE,
     PolygonalPath,
+    _block_bounds,
+    _block_size,
+    _extrema_pyramid,
+    _lag_segments,
     dyadic_lower,
     dyadic_upper,
     holder_max_exact,
     holder_max_windowed,
     holder_norm_of_path,
-    lag_profile,
     modulus_restricted,
     pairwise_coarsen,
     path_from_csv,
     path_to_csv,
     windowed_max_batch,
+    windowed_maxima,
 )
 
-from conftest import brute_force_pair_argmax, brute_force_pair_max, grid_modulus
+from conftest import (
+    brute_force_pair_argmax,
+    brute_force_pair_max,
+    dense_windowed_maxima,
+    grid_modulus,
+)
 
 increments_st = arrays(
     np.float64,
@@ -34,12 +44,15 @@ alpha_st = st.floats(min_value=0.05, max_value=0.45)
 
 @st.composite
 def sums_batch_st(draw, max_rows=3, max_n=40):
-    """Partial sums (rows, n + 1) from integer increments (which force ties),
-    float increments or a constant increment (a linear or constant path)."""
+    """Partial sums (rows, n + 1) from +-1 or integer increments (which force
+    ties), float increments or a constant increment (a linear or constant
+    path)."""
     rows = draw(st.integers(min_value=1, max_value=max_rows))
     n = draw(st.integers(min_value=1, max_value=max_n))
-    kind = draw(st.sampled_from(["integer", "float", "constant"]))
-    if kind == "integer":
+    kind = draw(st.sampled_from(["sign", "integer", "float", "constant"]))
+    if kind == "sign":
+        elements = st.sampled_from([-1.0, 1.0])
+    elif kind == "integer":
         elements = st.integers(min_value=-2, max_value=2).map(float)
     elif kind == "float":
         elements = st.floats(min_value=-10, max_value=10, allow_nan=False, width=64)
@@ -47,6 +60,39 @@ def sums_batch_st(draw, max_rows=3, max_n=40):
         elements = st.just(float(draw(st.integers(min_value=-1, max_value=1))))
     h = draw(arrays(np.float64, (rows, n), elements=elements))
     return np.concatenate([np.zeros((rows, 1)), np.cumsum(h, axis=1)], axis=1)
+
+
+@st.composite
+def long_sums_st(draw, max_rows=3, max_n=600):
+    """Partial sums (rows, n + 1) of up to ``max_n`` steps, generated from a
+    drawn seed: +-1, integer, Gaussian, constant, or sparse large jumps on a
+    small drift (the shape of renewal paths)."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["sign", "integer", "gaussian", "constant", "jumps"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "sign":
+        h = rng.choice([-1.0, 1.0], size=(rows, n))
+    elif kind == "integer":
+        h = rng.integers(-3, 4, size=(rows, n)).astype(float)
+    elif kind == "gaussian":
+        h = rng.standard_normal((rows, n))
+    elif kind == "constant":
+        h = np.full((rows, n), float(rng.integers(-1, 2)))
+    else:
+        h = np.where(rng.random((rows, n)) < 0.02, 40.0 * rng.standard_normal((rows, n)), -0.1)
+    return np.concatenate([np.zeros((rows, 1)), np.cumsum(h, axis=1)], axis=1)
+
+
+#: Windows at, below and above the powers of two: the lag-class edges and
+#: block sizes of the sweep.
+edge_window_st = st.sampled_from(sorted({2**k + e for k in range(11) for e in (-1, 0, 1)} - {0}))
+
+
+def windows_st(n):
+    return st.lists(
+        st.one_of(st.integers(min_value=1, max_value=n + 2), edge_window_st), min_size=1, max_size=3
+    )
 
 
 def path_of(*sums):
@@ -171,43 +217,108 @@ class TestWindowed:
 
 
 class TestLagProfile:
+    """The one lag sweep, ``windowed_maxima``, against the brute-force and
+    dense per-lag oracles."""
+
     @settings(max_examples=120, deadline=None)
     @given(sums_batch_st(), alpha_st, st.data())
     def test_running_max_reads_every_window(self, s, alpha, data):
-        # The read holder_tightness_diagnostic makes: the running maximum
-        # of one profile at each window, capped at the lags it returned.
-        n = s.shape[1] - 1
-        windows = data.draw(st.lists(st.integers(min_value=1, max_value=n + 2), min_size=1, max_size=3))
-        running = np.maximum.accumulate(lag_profile(s, alpha, max(windows)), axis=0)
-        assert 1 <= len(running) <= min(max(windows), n)
-        for w in windows:
-            row = running[min(w, len(running)) - 1]
+        windows = data.draw(windows_st(s.shape[1] - 1))
+        maxima = windowed_maxima(s, alpha, windows)
+        np.testing.assert_array_equal(maxima, dense_windowed_maxima(s, alpha, windows))
+        for w, row in zip(windows, maxima):
             np.testing.assert_array_equal(row, windowed_max_batch(s, alpha, w))
             for r in range(s.shape[0]):
                 assert row[r] == brute_force_pair_max(s[r], alpha, w)
 
-    @settings(max_examples=120, deadline=None)
-    @given(sums_batch_st(max_rows=1), alpha_st, st.data())
+    @settings(max_examples=60, deadline=None)
+    @given(long_sums_st(), alpha_st, st.data())
+    def test_long_paths_match_dense_sweep(self, s, alpha, data):
+        windows = data.draw(windows_st(s.shape[1] - 1))
+        np.testing.assert_array_equal(
+            windowed_maxima(s, alpha, windows), dense_windowed_maxima(s, alpha, windows)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(sums_batch_st(max_rows=1), long_sums_st(max_rows=1, max_n=300)),
+        alpha_st,
+        st.data(),
+    )
     def test_windowed_argmax_is_lexicographic_first(self, s, alpha, data):
-        lag = data.draw(st.integers(min_value=1, max_value=s.shape[1]))
+        lag = data.draw(st.one_of(st.integers(min_value=1, max_value=s.shape[1]), edge_window_st))
         stat = holder_max_windowed(PolygonalPath(s[0]), alpha, lag)
         assert stat.value == brute_force_pair_max(s[0], alpha, lag)
         assert stat.argmax == brute_force_pair_argmax(s[0], alpha, lag)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_sums_st(max_n=400), alpha_st)
+    def test_block_bounds_cover_their_pairs(self, s, alpha):
+        # The pruning premise: in every lag segment, a start block's bound
+        # is at least the quotient of each of its pairs.
+        n = s.shape[1] - 1
+        pyramid = _extrema_pyramid(s, _block_size(n))
+        for lo, hi, level in _lag_segments(1, n):
+            size = _BASE << level
+            bound = _block_bounds(pyramid, level, lo, n, alpha)
+            for d in range(lo, hi + 1):
+                q = np.abs(s[:, d:] - s[:, :-d]) / d ** alpha
+                blocks = -(-q.shape[1] // size)
+                padded = np.zeros((s.shape[0], blocks * size))
+                padded[:, : q.shape[1]] = q
+                exact = padded.reshape(s.shape[0], blocks, size).max(axis=2)
+                assert np.all(bound[:, :blocks] >= exact)
+
+    def test_ties_at_the_bound_are_kept(self):
+        # On a zigzag every block bound at lag 1 equals the maximum 1, which
+        # (0, 1) attains first; a bound equal to the maximum must be scanned.
+        s = np.tile([0.0, 1.0], 50)[None, :]
+        assert windowed_maxima(s, 0.25, [99])[0, 0] == 1.0
+        assert holder_max_windowed(PolygonalPath(s[0]), 0.25, 99).argmax == (0, 1)
+
+    @pytest.mark.parametrize("process", ["renewal", "gaussian"])
+    def test_large_paths_bit_identical(self, process, chain_spec):
+        from hwip.models import sample_renewal_path
+        from hwip.rng import substream
+
+        s = np.zeros((3, 20001))
+        for r in range(3):
+            rng = substream(11, r)
+            if process == "renewal":
+                h = sample_renewal_path(chain_spec, 20000, rng)[1]
+            else:
+                h = rng.standard_normal(20000)
+            s[r, 1:] = np.cumsum(h)
+        np.testing.assert_array_equal(
+            windowed_maxima(s, 1 / 6, [196]), dense_windowed_maxima(s, 1 / 6, [196])
+        )
+
+    @pytest.mark.parametrize("alpha", [1 / 6, 0.25, 0.2, 0.3])
+    def test_scales_nondecreasing(self, alpha):
+        # The premise of the pruning: a bound divided by lo**alpha is at
+        # least every quotient at a lag d >= lo.
+        scales = np.array([d ** alpha for d in range(1, 392833)])
+        assert np.all(np.diff(scales) >= 0)
 
     def test_profile_stops_at_envelope(self):
         # One jump of 1 at the first step: lag 1 attains 1, and from lag 2
         # on the envelope 1 / d**alpha is below it in the only row.
         s = np.array([[0.0, 1.0, 1.0, 1.0, 1.0]])
-        profile = lag_profile(s, 0.25, 4)
-        np.testing.assert_array_equal(profile, [[1.0]])
+        np.testing.assert_array_equal(windowed_maxima(s, 0.25, [4, 1, 2]), [[1.0], [1.0], [1.0]])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            lag_profile(np.zeros(5), 0.25, 2)
+            windowed_maxima(np.zeros(5), 0.25, [2])
         with pytest.raises(ValueError):
-            lag_profile(np.zeros((2, 1)), 0.25, 1)
+            windowed_maxima(np.zeros((2, 1)), 0.25, [1])
         with pytest.raises(ValueError):
-            lag_profile(np.zeros((2, 3)), 0.25, 0)
+            windowed_maxima(np.zeros((2, 3)), 0.25, [0])
+        with pytest.raises(ValueError):
+            windowed_maxima(np.zeros((2, 3)), 0.25, [])
+        with pytest.raises(ValueError):
+            windowed_maxima(np.array([[0.0, np.nan, 1.0]]), 0.25, [1])
+        with pytest.raises(ValueError):
+            windowed_max_batch(np.array([[0.0, 1.0, np.inf]]), 0.25, 2)
 
 
 class TestNormalizedStatistics:
