@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import CapacityError, ConfigError
@@ -42,6 +43,8 @@ from .models import iid_model, mds_model
 from .rng import DEFAULT_SEED, substream
 
 _SUITES = ("dyadic-lemma", "martingale", "mw", "fdd", "tightness", "all")
+_VARIANTS = ("adapted", "nonadapted")
+_WEIGHTS = ("ones", "counterexample")
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -89,6 +92,26 @@ def _expect_number(doc: dict, key: str) -> float:
     return float(value)
 
 
+def _expect_p(doc: dict, key: str) -> float:
+    """The moment exponent: a number > 2, so that alpha = 1/2 - 1/p > 0."""
+    p = _expect_number(doc, key)
+    if not p > 2.0:
+        raise ConfigError(f"{key}: must be > 2, got {p}")
+    return p
+
+
+def _one_of(choices: tuple[str, ...]):
+    """Check for one of the strings ``choices``."""
+
+    def check(doc: dict, key: str) -> str:
+        value = doc[key]
+        if value not in choices:
+            raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
+        return value
+
+    return check
+
+
 def _list_of(expect):
     """Check for a nonempty list whose every item passes ``expect``."""
 
@@ -104,6 +127,15 @@ def _list_of(expect):
 def _checked(config: dict, key: str, default, expect):
     """``expect(config, key)`` when the key is present, else ``default``."""
     return expect(config, key) if key in config else default
+
+
+def _flag_or_config(args, config: dict, key: str, default, expect):
+    """The ``--key`` flag when given, else the config key, else ``default``;
+    a flag value passes the same ``expect`` check as a config value."""
+    value = getattr(args, key)
+    if value is not None:
+        return expect({key: value}, key)
+    return _checked(config, key, default, expect)
 
 
 def _model_from_config(config: dict, default_kind: str = "iid"):
@@ -174,12 +206,9 @@ class _Wrapped:
 
 def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     model = _model_from_config(config)
-    n = args.n if args.n is not None else _checked(config, "n", 1024, _expect_int)
-    replicates = (
-        args.replicates if args.replicates is not None
-        else _checked(config, "replicates", 1, _expect_int)
-    )
-    p = args.p if args.p is not None else _checked(config, "p", 3.0, _expect_number)
+    n = _flag_or_config(args, config, "n", 1024, _expect_int)
+    replicates = _flag_or_config(args, config, "replicates", 1, _expect_int)
+    p = _flag_or_config(args, config, "p", 3.0, _expect_p)
     alpha = 0.5 - 1.0 / p
     rows = []
     stats = []
@@ -216,12 +245,9 @@ def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
 
 def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     which = args.which
-    p = args.p if args.p is not None else _checked(config, "p", 3.0, _expect_number)
+    p = _flag_or_config(args, config, "p", 3.0, _expect_p)
     if which == "weak-lp":
-        n_samples = (
-            args.samples if args.samples is not None
-            else _checked(config, "samples", 100000, _expect_int)
-        )
+        n_samples = _flag_or_config(args, config, "samples", 100000, _expect_int)
         rng = substream(seed, 0)
         samples = rng.uniform(size=n_samples) ** (-1.0 / p)
         est = empirical_weak_lp(samples, p)
@@ -236,8 +262,8 @@ def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         return 0
     model = _model_from_config(config, default_kind="renewal_chain")
     if which == "mw-norm":
-        variant = args.variant or config.get("variant", "adapted")
-        J = args.J if args.J is not None else _checked(config, "J", 12, _expect_int)
+        variant = _flag_or_config(args, config, "variant", "adapted", _one_of(_VARIANTS))
+        J = _flag_or_config(args, config, "J", 12, _expect_int)
         rep = mw_norm(model, variant, p, J)
         doc = {
             "experiment": "mw_norm",
@@ -249,15 +275,13 @@ def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         _write_outputs(out, "mw_norm", _Wrapped(doc), fmt)
         return 0 if rep.converged else 1
     if which == "mw-series":
-        N = args.N if args.N is not None else _checked(config, "N", 1 << 14, _expect_int)
+        N = _flag_or_config(args, config, "N", 1 << 14, _expect_int)
         weights = None
-        weighted = args.weights or config.get("weights", "ones")
+        weighted = _flag_or_config(args, config, "weights", "ones", _one_of(_WEIGHTS))
         if weighted == "counterexample":
             if model.chain is None:
                 raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
             weights = counterexample_weights(model.chain, N)
-        elif weighted != "ones":
-            raise ConfigError(f"weights: unknown scheme {weighted!r}")
         diag = mw_series_diagnostic(model, p, weights, N)
         doc = {
             "experiment": "mw_series",
@@ -288,7 +312,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
                 models,
                 paths_per_model=_checked(config, "paths_per_model", 200, _expect_int),
                 n_max=_checked(config, "n_max", 256, _expect_int),
-                p=_checked(config, "p", 3.0, _expect_number),
+                p=_checked(config, "p", 3.0, _expect_p),
                 seed=seed,
             )
         )
@@ -296,7 +320,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         reports.append(
             certify_martingale_inequality(
                 mds_model("rademacher"),
-                p=_checked(config, "p", 4.0, _expect_number),
+                p=_checked(config, "p", 4.0, _expect_p),
                 n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_expect_int)),
                 replicates=_checked(config, "replicates", 400, _expect_int),
                 seed=seed,
@@ -307,7 +331,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
             certify_mw_inequality(
                 renewal_model(3.0, 4),
                 variant="adapted",
-                p=_checked(config, "p", 3.0, _expect_number),
+                p=_checked(config, "p", 3.0, _expect_p),
                 n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_expect_int)),
                 replicates=_checked(config, "replicates", 400, _expect_int),
                 seed=seed,
@@ -317,7 +341,8 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         rep = fdd_convergence_test(
             mds_model("rademacher"),
             n=_checked(config, "n", 2048, _expect_int),
-            replicates=_checked(config, "replicates", 1000, _expect_int),
+            # Var(S_n) / n and the KS distance need two replicates.
+            replicates=_checked(config, "replicates", 1000, partial(_expect_int, minimum=2)),
             time_grid=_checked(config, "time_grid", [0.25, 0.5, 1.0], _list_of(_expect_number)),
             seed=seed,
         )
@@ -333,7 +358,7 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         reports.append(_Wrapped(doc))
     if suite in ("tightness", "all"):
         spec = build_renewal_chain(
-            _checked(config, "p", 3.0, _expect_number), _checked(config, "depth", 4, _expect_int)
+            _checked(config, "p", 3.0, _expect_p), _checked(config, "depth", 4, _expect_int)
         )
         eps = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
         reports.append(
@@ -359,15 +384,12 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
 
 
 def _cmd_counterexample(args, config: dict, seed: int, out: Path, fmt: str) -> int:
-    p = args.p if args.p is not None else _checked(config, "p", 3.0, _expect_number)
-    depth = args.depth if args.depth is not None else _checked(config, "depth", 4, _expect_int)
-    K = args.K if args.K is not None else _checked(config, "K", 2, _expect_int)
-    delta = args.delta if args.delta is not None else _checked(config, "delta", 1e-3, _expect_number)
-    j_level = args.j if args.j is not None else _checked(config, "j", depth, _expect_int)
-    replicates = (
-        args.replicates if args.replicates is not None
-        else _checked(config, "replicates", 200, _expect_int)
-    )
+    p = _flag_or_config(args, config, "p", 3.0, _expect_p)
+    depth = _flag_or_config(args, config, "depth", 4, _expect_int)
+    K = _flag_or_config(args, config, "K", 2, _expect_int)
+    delta = _flag_or_config(args, config, "delta", 1e-3, _expect_number)
+    j_level = _flag_or_config(args, config, "j", depth, _expect_int)
+    replicates = _flag_or_config(args, config, "replicates", 200, _expect_int)
     spec = build_renewal_chain(p, depth)
     rep = nontightness_experiment(
         spec, K=K, j_level=j_level, delta=delta, replicates=replicates, seed=seed,
@@ -429,10 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", choices=("weak-lp", "mw-norm", "mw-series"), required=True)
     sp.add_argument("--p", type=float)
     sp.add_argument("--samples", type=int)
-    sp.add_argument("--variant", choices=("adapted", "nonadapted"))
+    sp.add_argument("--variant", choices=_VARIANTS)
     sp.add_argument("--J", type=int)
     sp.add_argument("--N", type=int)
-    sp.add_argument("--weights", choices=("ones", "counterexample"))
+    sp.add_argument("--weights", choices=_WEIGHTS)
     sp.set_defaults(func=_cmd_norms)
 
     sp = sub.add_parser("certify", help="run certification suites")

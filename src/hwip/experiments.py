@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import ndtr
 
 from .errors import CapabilityError, CapacityError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
@@ -481,6 +481,18 @@ def estimate_variance_constant(
     return eta, stderr
 
 
+def _ks_distance_to_normal(values: np.ndarray, scale: float) -> float:
+    """One-sample KS distance between the sample and N(0, scale^2), by the
+    same arithmetic as scipy's ``kstest(values, "norm", args=(0, scale))``
+    and so bit-identical to its statistic."""
+    x = np.sort(values)
+    n = x.size
+    cdf = ndtr(x / scale)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
+
+
 def fdd_convergence_test(
     model: ProcessModel,
     n: int,
@@ -507,7 +519,7 @@ def fdd_convergence_test(
         frac = nt - k
         values = (s[:, k] + frac * (s[:, k + 1] - s[:, k])) / sqrt_n
         scale = math.sqrt(eta_hat * t)
-        ks = float(sstats.kstest(values, "norm", args=(0.0, scale)).statistic)
+        ks = _ks_distance_to_normal(values, scale)
         fdd.append([t, ks])
     return ConvergenceReport(
         model=model.label,
@@ -519,6 +531,24 @@ def fdd_convergence_test(
         holder_ks=None,
         seed=seed,
     )
+
+
+def _ks_distance_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS distance as the exact rational h / lcm(n1, n2), with h
+    the largest gap between the empirical CDFs counted in units of
+    1 / lcm.  This is scipy's ``ks_2samp(a, b)`` statistic bit for bit
+    whenever max(n1, n2) <= 10000, where scipy rounds to the same grid."""
+    a = np.sort(a)
+    b = np.sort(b)
+    n1, n2 = a.size, b.size
+    both = np.concatenate([a, b])
+    g = math.gcd(n1, n2)
+    gaps = (
+        np.searchsorted(a, both, side="right") * (n2 // g)
+        - np.searchsorted(b, both, side="right") * (n1 // g)
+    )
+    h = int(np.abs(gaps).max())
+    return h * 1.0 / math.lcm(n1, n2)
 
 
 def holder_norm_distribution_ks(
@@ -536,7 +566,7 @@ def holder_norm_distribution_ks(
         stats_by_n = _m_statistics(model, p, [n1, n2], replicates, seed)
     a = stats_by_n[n1] * n1 ** (-1.0 / p)
     b = stats_by_n[n2] * n2 ** (-1.0 / p)
-    return float(sstats.ks_2samp(a, b).statistic)
+    return _ks_distance_two_sample(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hwip
 from hwip.cli import main, render_summary
 
 
@@ -116,6 +121,10 @@ class TestConfigHandling:
             ("tightness", "delta_grid", 0.5),
             ("tightness", "delta_grid", [0.25, "half"]),
             ("fdd", "time_grid", {"t": 0.5}),
+            ("fdd", "replicates", 1),
+            ("dyadic-lemma", "p", 2),
+            ("martingale", "p", 1.5),
+            ("tightness", "p", 2.0),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -139,6 +148,14 @@ class TestConfigHandling:
             (["norms", "--which", "weak-lp"], "samples", "many"),
             (["norms", "--which", "mw-norm"], "J", "12"),
             (["norms", "--which", "mw-series"], "N", 1.5),
+            (["simulate", "--n", "8"], "p", 2),
+            (["simulate", "--n", "8", "--p", "2"], "p", 3),  # the flag is checked too
+            (["counterexample"], "p", 1.5),
+            (["norms", "--which", "weak-lp"], "p", 2.0),
+            (["norms", "--which", "mw-norm", "--p", "-3"], "p", 3),
+            (["norms", "--which", "mw-norm"], "variant", "sideways"),
+            (["norms", "--which", "mw-norm"], "variant", 1),
+            (["norms", "--which", "mw-series"], "weights", "twos"),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -211,6 +228,18 @@ class TestSimulateAndReport:
         code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path)])
         assert code == 2
         assert "no report" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the start-up; the KS statistics are NumPy.
+    src = str(Path(hwip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, hwip.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_render_summary_is_pure_function_of_doc():

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from hwip.errors import CapabilityError, CapacityError
 from hwip.experiments import (
     InequalityConstants,
     _first_passage_exceed_probability,
+    _ks_distance_to_normal,
+    _ks_distance_two_sample,
     _m_statistics,
     certify_dyadic_lemma,
     certify_martingale_inequality,
@@ -161,6 +166,51 @@ class TestVarianceConstant:
         eta, se = estimate_variance_constant(renewal_model(3.0, 4), 8192, 600, seed=17)
         exact = renewal_variance_constant(chain_spec)
         assert abs(eta - exact) <= 5 * se + 0.02 * exact  # small-n bias allowance
+
+
+def _sample(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "integer":  # forces ties, within and across samples
+        return rng.integers(-3, 4, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, float(rng.integers(-1, 2)))
+    return rng.standard_normal(n) * float(rng.uniform(0.1, 10.0))
+
+
+kind_st = st.sampled_from(["integer", "constant", "gaussian"])
+size_st = st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3000))
+seed_st = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestKsStatistics:
+    """Both KS helpers equal scipy's statistics bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind_st, size_st, st.floats(min_value=0.05, max_value=20.0), seed_st)
+    @example("gaussian", 1, 1.0, 0)
+    @example("integer", 1, 0.5, 1)
+    def test_one_sample_matches_kstest(self, kind, n, scale, seed):
+        values = _sample(np.random.default_rng(seed), kind, n)
+        expected = sstats.kstest(values, "norm", args=(0.0, scale)).statistic
+        assert _ks_distance_to_normal(values, scale) == float(expected)
+
+    @pytest.mark.filterwarnings("ignore:ks_2samp")  # scipy's p-value, not its statistic
+    @settings(max_examples=200, deadline=None)
+    @given(kind_st, kind_st, size_st, size_st, seed_st)
+    @example("gaussian", "gaussian", 1, 1, 0)
+    @example("integer", "integer", 1, 3000, 1)
+    @example("integer", "gaussian", 2999, 3000, 2)
+    def test_two_sample_matches_ks_2samp(self, kind1, kind2, n1, n2, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _sample(rng, kind1, n1), _sample(rng, kind2, n2)
+        expected = sstats.ks_2samp(a, b).statistic
+        assert _ks_distance_two_sample(a, b) == float(expected)
+
+    def test_two_sample_is_exact_rational(self):
+        a = np.array([0.0, 1.0, 2.0])
+        b = np.array([0.5, 1.0, 1.0, 3.0, 4.0, 5.0, 6.0])
+        # largest ECDF gap at x = 2: 1 - 3/7 = 12/21 in units of 1/lcm(3, 7)
+        assert _ks_distance_two_sample(a, b) == 12 / 21
+        assert _ks_distance_two_sample(b, b.copy()) == 0.0
 
 
 class TestFddConvergence:
