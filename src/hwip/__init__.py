@@ -47,7 +47,6 @@ from .norms import (
 )
 from .experiments import (
     CertificationReport,
-    ConvergenceReport,
     InequalityConstants,
     certify_dyadic_lemma,
     certify_martingale_inequality,

@@ -32,6 +32,7 @@ from .models import (
 )
 from .norms import counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic
 from .experiments import (
+    CertificationReport,
     certify_dyadic_lemma,
     certify_martingale_inequality,
     certify_mw_inequality,
@@ -83,6 +84,11 @@ def _expect_int(doc: dict, key: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
     return value
+
+
+def _at_least(minimum: int):
+    """Check for an integer >= ``minimum`` (counts and sizes)."""
+    return partial(_expect_int, minimum=minimum)
 
 
 def _expect_number(doc: dict, key: str) -> float:
@@ -148,11 +154,11 @@ def _model_from_config(config: dict, default_kind: str = "iid"):
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _write_outputs(out_dir: Path, name: str, report, fmt: str) -> None:
+def _write_outputs(out_dir: Path, name: str, report: CertificationReport, fmt: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt in ("json", "both"):
         (out_dir / f"report_{name}.json").write_text(report.to_json() + "\n")
-    if fmt in ("csv", "both") and getattr(report, "replicate_rows", None):
+    if fmt in ("csv", "both") and report.replicate_rows:
         with open(out_dir / f"replicates_{name}.csv", "w", newline="") as fp:
             report.write_replicates_csv(fp)
     summary = render_summary(report.to_dict())
@@ -181,33 +187,10 @@ def render_summary(doc: dict, indent: str = "") -> str:
     return "\n".join(lines) + ("\n" if not indent else "")
 
 
-class _Wrapped:
-    """Minimal report adapter for subcommands that emit plain dicts."""
-
-    def __init__(self, doc: dict, rows=None, columns=()):
-        self.doc = doc
-        self.replicate_rows = rows or []
-        self.replicate_columns = columns
-
-    def to_dict(self) -> dict:
-        return self.doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.doc, sort_keys=True)
-
-    def write_replicates_csv(self, fp) -> None:
-        import csv as _csv
-
-        w = _csv.writer(fp)
-        w.writerow(self.replicate_columns)
-        for row in self.replicate_rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     model = _model_from_config(config)
-    n = _flag_or_config(args, config, "n", 1024, _expect_int)
-    replicates = _flag_or_config(args, config, "replicates", 1, _expect_int)
+    n = _flag_or_config(args, config, "n", 1024, _at_least(1))
+    replicates = _flag_or_config(args, config, "replicates", 1, _at_least(1))
     p = _flag_or_config(args, config, "p", 3.0, _expect_p)
     alpha = 0.5 - 1.0 / p
     rows = []
@@ -226,20 +209,22 @@ def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         )
         partial = path.partial_sums
         rows.extend((r, t, float(partial[t])) for t in range(len(partial)))
-    doc = {
-        "experiment": "simulate",
-        "config": {
+    report = CertificationReport(
+        experiment="simulate",
+        config={
             "model": model.to_dict(),
             "n": n,
             "replicates": replicates,
             "p": p,
             "seed": seed,
         },
-        "per_point": stats,
-        "passed": True,
-        "verdict": "simulated",
-    }
-    _write_outputs(out, "simulate", _Wrapped(doc, rows, ("replicate", "t", "partial_sum")), fmt)
+        verdict="simulated",
+        passed=True,
+        body={"per_point": stats},
+        replicate_rows=rows,
+        replicate_columns=("replicate", "t", "partial_sum"),
+    )
+    _write_outputs(out, "simulate", report, fmt)
     return 0
 
 
@@ -247,35 +232,34 @@ def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     which = args.which
     p = _flag_or_config(args, config, "p", 3.0, _expect_p)
     if which == "weak-lp":
-        n_samples = _flag_or_config(args, config, "samples", 100000, _expect_int)
+        n_samples = _flag_or_config(args, config, "samples", 100000, _at_least(1))
         rng = substream(seed, 0)
         samples = rng.uniform(size=n_samples) ** (-1.0 / p)
-        est = empirical_weak_lp(samples, p)
-        doc = {
-            "experiment": "weak_lp_pareto",
-            "config": {"p": p, "samples": n_samples, "seed": seed},
-            "estimate": est.to_dict(),
-            "passed": True,
-            "verdict": "estimated",
-        }
-        _write_outputs(out, "weak_lp", _Wrapped(doc), fmt)
+        report = CertificationReport(
+            experiment="weak_lp_pareto",
+            config={"p": p, "samples": n_samples, "seed": seed},
+            verdict="estimated",
+            passed=True,
+            body={"estimate": empirical_weak_lp(samples, p).to_dict()},
+        )
+        _write_outputs(out, "weak_lp", report, fmt)
         return 0
     model = _model_from_config(config, default_kind="renewal_chain")
     if which == "mw-norm":
         variant = _flag_or_config(args, config, "variant", "adapted", _one_of(_VARIANTS))
-        J = _flag_or_config(args, config, "J", 12, _expect_int)
+        J = _flag_or_config(args, config, "J", 12, _at_least(0))
         rep = mw_norm(model, variant, p, J)
-        doc = {
-            "experiment": "mw_norm",
-            "config": {"model": model.to_dict(), "p": p, "J": J, "variant": variant, "seed": seed},
-            "report": rep.to_dict(),
-            "passed": bool(rep.converged),
-            "verdict": "converged" if rep.converged else "not converged at J",
-        }
-        _write_outputs(out, "mw_norm", _Wrapped(doc), fmt)
+        report = CertificationReport(
+            experiment="mw_norm",
+            config={"model": model.to_dict(), "p": p, "J": J, "variant": variant, "seed": seed},
+            verdict="converged" if rep.converged else "not converged at J",
+            passed=bool(rep.converged),
+            body={"report": rep.to_dict()},
+        )
+        _write_outputs(out, "mw_norm", report, fmt)
         return 0 if rep.converged else 1
     if which == "mw-series":
-        N = _flag_or_config(args, config, "N", 1 << 14, _expect_int)
+        N = _flag_or_config(args, config, "N", 1 << 14, _at_least(2))
         weights = None
         weighted = _flag_or_config(args, config, "weights", "ones", _one_of(_WEIGHTS))
         if weighted == "counterexample":
@@ -283,15 +267,16 @@ def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
                 raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
             weights = counterexample_weights(model.chain, N)
         diag = mw_series_diagnostic(model, p, weights, N)
-        doc = {
-            "experiment": "mw_series",
-            "config": {"model": model.to_dict(), "p": p, "N": N, "weights": weighted, "seed": seed},
-            "report": diag.to_dict(),
-            "passed": True,
-            "verdict": diag.verdict,
-        }
-        rows = [(n, t, s) for n, t, s in diag.rows]
-        _write_outputs(out, "mw_series", _Wrapped(doc, rows, ("n", "term", "partial_sum")), fmt)
+        report = CertificationReport(
+            experiment="mw_series",
+            config={"model": model.to_dict(), "p": p, "N": N, "weights": weighted, "seed": seed},
+            verdict=diag.verdict,
+            passed=True,
+            body={"report": diag.to_dict()},
+            replicate_rows=list(diag.rows),
+            replicate_columns=("n", "term", "partial_sum"),
+        )
+        _write_outputs(out, "mw_series", report, fmt)
         return 0
     raise ConfigError(f"which: unknown norms operation {which!r}")
 
@@ -310,8 +295,8 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         reports.append(
             certify_dyadic_lemma(
                 models,
-                paths_per_model=_checked(config, "paths_per_model", 200, _expect_int),
-                n_max=_checked(config, "n_max", 256, _expect_int),
+                paths_per_model=_checked(config, "paths_per_model", 200, _at_least(1)),
+                n_max=_checked(config, "n_max", 256, _at_least(2)),
                 p=_checked(config, "p", 3.0, _expect_p),
                 seed=seed,
             )
@@ -321,8 +306,8 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
             certify_martingale_inequality(
                 mds_model("rademacher"),
                 p=_checked(config, "p", 4.0, _expect_p),
-                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_expect_int)),
-                replicates=_checked(config, "replicates", 400, _expect_int),
+                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_at_least(1))),
+                replicates=_checked(config, "replicates", 400, _at_least(1)),
                 seed=seed,
             )
         )
@@ -332,41 +317,45 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
                 renewal_model(3.0, 4),
                 variant="adapted",
                 p=_checked(config, "p", 3.0, _expect_p),
-                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_expect_int)),
-                replicates=_checked(config, "replicates", 400, _expect_int),
+                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_at_least(1))),
+                replicates=_checked(config, "replicates", 400, _at_least(1)),
                 seed=seed,
             )
         )
     if suite in ("fdd", "all"):
+        n = _checked(config, "n", 2048, _at_least(1))
+        # Var(S_n) / n and the KS distance need two replicates.
+        replicates = _checked(config, "replicates", 1000, _at_least(2))
         rep = fdd_convergence_test(
             mds_model("rademacher"),
-            n=_checked(config, "n", 2048, _expect_int),
-            # Var(S_n) / n and the KS distance need two replicates.
-            replicates=_checked(config, "replicates", 1000, partial(_expect_int, minimum=2)),
+            n=n,
+            replicates=replicates,
             time_grid=_checked(config, "time_grid", [0.25, 0.5, 1.0], _list_of(_expect_number)),
             seed=seed,
         )
         threshold = _checked(config, "ks_threshold", 0.05, _expect_number)
-        passed = all(ks <= threshold for _, ks in rep.fdd)
-        doc = {
-            "experiment": "fdd_convergence",
-            "config": {"n": rep.n, "replicates": rep.replicates, "seed": seed, "ks_threshold": threshold},
-            "report": rep.to_dict(),
-            "passed": passed,
-            "verdict": "consistent with the Gaussian limit" if passed else "KS distance above threshold",
-        }
-        reports.append(_Wrapped(doc))
+        passed = all(ks <= threshold for _, ks in rep["fdd"])
+        verdict = "consistent with the Gaussian limit" if passed else "KS distance above threshold"
+        reports.append(
+            CertificationReport(
+                experiment="fdd_convergence",
+                config={"n": n, "replicates": replicates, "seed": seed, "ks_threshold": threshold},
+                verdict=verdict,
+                passed=passed,
+                body={"report": rep},
+            )
+        )
     if suite in ("tightness", "all"):
         spec = build_renewal_chain(
-            _checked(config, "p", 3.0, _expect_p), _checked(config, "depth", 4, _expect_int)
+            _checked(config, "p", 3.0, _expect_p), _checked(config, "depth", 4, _at_least(2))
         )
         eps = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
         reports.append(
             holder_tightness_diagnostic(
                 gaussian_contrast_model(spec),
                 p=spec.p,
-                n_grid=_checked(config, "n_grid", [1024, 2048], _list_of(_expect_int)),
-                replicates=_checked(config, "replicates", 200, _expect_int),
+                n_grid=_checked(config, "n_grid", [1024, 2048], _list_of(_at_least(1))),
+                replicates=_checked(config, "replicates", 200, _at_least(1)),
                 delta_grid=_checked(
                     config, "delta_grid", [0.25, 0.0625, 0.015625], _list_of(_expect_number)
                 ),
@@ -374,22 +363,18 @@ def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
                 seed=seed,
             )
         )
-    all_pass = True
     for rep in reports:
-        doc = rep.to_dict()
-        name = doc["experiment"]
-        _write_outputs(out, name, rep, fmt)
-        all_pass = all_pass and bool(doc["passed"])
-    return 0 if all_pass else 1
+        _write_outputs(out, rep.experiment, rep, fmt)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_counterexample(args, config: dict, seed: int, out: Path, fmt: str) -> int:
     p = _flag_or_config(args, config, "p", 3.0, _expect_p)
-    depth = _flag_or_config(args, config, "depth", 4, _expect_int)
-    K = _flag_or_config(args, config, "K", 2, _expect_int)
+    depth = _flag_or_config(args, config, "depth", 4, _at_least(2))
+    K = _flag_or_config(args, config, "K", 2, _at_least(1))
     delta = _flag_or_config(args, config, "delta", 1e-3, _expect_number)
-    j_level = _flag_or_config(args, config, "j", depth, _expect_int)
-    replicates = _flag_or_config(args, config, "replicates", 200, _expect_int)
+    j_level = _flag_or_config(args, config, "j", depth, _at_least(1))
+    replicates = _flag_or_config(args, config, "replicates", 200, _at_least(1))
     spec = build_renewal_chain(p, depth)
     rep = nontightness_experiment(
         spec, K=K, j_level=j_level, delta=delta, replicates=replicates, seed=seed,

@@ -44,7 +44,6 @@ from .rng import substream
 __all__ = [
     "InequalityConstants",
     "CertificationReport",
-    "ConvergenceReport",
     "wilson_interval",
     "certify_dyadic_lemma",
     "certify_martingale_inequality",
@@ -94,20 +93,29 @@ class InequalityConstants:
 
 @dataclass
 class CertificationReport:
-    """Aggregates of one certification experiment.
+    """The report of one run: what every subcommand writes.
 
     ``config`` embeds the full run configuration (seed included); rerunning
-    with an identical config reproduces the report bit for bit.
+    with an identical config reproduces the report bit for bit.  ``body``
+    holds the remaining top-level fields (``stats`` and ``per_point`` for
+    the certifications), and the replicate rows go to the CSV file.
     """
 
     experiment: str
     config: dict
     verdict: str
     passed: bool
-    stats: dict = field(default_factory=dict)
-    per_point: list = field(default_factory=list)
+    body: dict = field(default_factory=dict)
     replicate_rows: list = field(default_factory=list)
     replicate_columns: tuple = ()
+
+    @property
+    def stats(self) -> dict:
+        return self.body["stats"]
+
+    @property
+    def per_point(self) -> list:
+        return self.body["per_point"]
 
     def to_dict(self) -> dict:
         return {
@@ -115,8 +123,7 @@ class CertificationReport:
             "config": self.config,
             "verdict": self.verdict,
             "passed": self.passed,
-            "stats": self.stats,
-            "per_point": self.per_point,
+            **self.body,
         }
 
     def to_json(self) -> str:
@@ -127,35 +134,6 @@ class CertificationReport:
         w.writerow(self.replicate_columns)
         for row in self.replicate_rows:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-@dataclass
-class ConvergenceReport:
-    """Finite-dimensional-distribution and Hölder-norm convergence diagnostics."""
-
-    model: str
-    n: int
-    replicates: int
-    eta_hat: float
-    eta_stderr: float
-    fdd: list  # [t, ks_distance] pairs
-    holder_ks: float | None
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "replicates": self.replicates,
-            "eta_hat": self.eta_hat,
-            "eta_stderr": self.eta_stderr,
-            "fdd": self.fdd,
-            "holder_ks": self.holder_ks,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -235,6 +213,8 @@ def certify_dyadic_lemma(
         raise CapacityError("n_max above 4096 exceeds the exact-evaluation budget")
     alpha = _alpha(p)
     grid = _dyadic_grid(n_max)
+    if not grid:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     per_point = []
     worst = math.inf
     worst_rel = math.inf
@@ -263,6 +243,7 @@ def certify_dyadic_lemma(
                 }
             )
     passed = violations == 0
+    stats = {"worst_slack": worst, "worst_relative_slack": worst_rel, "violations": violations}
     return CertificationReport(
         experiment="dyadic_lemma",
         config={
@@ -275,8 +256,7 @@ def certify_dyadic_lemma(
         },
         verdict="pass" if passed else f"{violations} violations",
         passed=passed,
-        stats={"worst_slack": worst, "worst_relative_slack": worst_rel, "violations": violations},
-        per_point=per_point,
+        body={"stats": stats, "per_point": per_point},
     )
 
 
@@ -334,6 +314,12 @@ def certify_martingale_inequality(
         rows.extend((n, r, float(v)) for r, v in enumerate(values))
     slope = _fit_slope(list(stats_by_n), ratios) if m_norm > 0 else 0.0
     passed = slope_bounds[0] <= slope <= slope_bounds[1]
+    stats = {
+        "slope": slope,
+        "max_ratio": max(ratios),
+        "min_ratio": min(ratios),
+        "increment_lp_norm": m_norm,
+    }
     return CertificationReport(
         experiment="martingale_maximal_inequality",
         config={
@@ -346,13 +332,7 @@ def certify_martingale_inequality(
         },
         verdict="bounded ratios" if passed else "ratio drift detected",
         passed=passed,
-        stats={
-            "slope": slope,
-            "max_ratio": max(ratios),
-            "min_ratio": min(ratios),
-            "increment_lp_norm": m_norm,
-        },
-        per_point=per_point,
+        body={"stats": stats, "per_point": per_point},
         replicate_rows=rows,
         replicate_columns=("n", "replicate", "holder_max"),
     )
@@ -437,6 +417,14 @@ def certify_mw_inequality(
         rows.extend((n, rr, float(v)) for rr, v in enumerate(values))
     slope = _fit_slope(list(stats_by_n), ratios)
     passed = slope_bounds[0] <= slope <= slope_bounds[1] and all(r <= 1.0 for r in ratios)
+    stats = {
+        "slope": slope,
+        "max_ratio": max(ratios),
+        "K_p": constants.K_p,
+        "bracket_first_term": first,
+        "mw_norm_value": mw_total,
+        "max_corollary_ratio": max(pp["corollary_ratio"] for pp in per_point),
+    }
     return CertificationReport(
         experiment="mw_maximal_inequality",
         config={
@@ -451,15 +439,7 @@ def certify_mw_inequality(
         },
         verdict="bounded ratios" if passed else "ratio drift detected",
         passed=passed,
-        stats={
-            "slope": slope,
-            "max_ratio": max(ratios),
-            "K_p": constants.K_p,
-            "bracket_first_term": first,
-            "mw_norm_value": mw_total,
-            "max_corollary_ratio": max(pp["corollary_ratio"] for pp in per_point),
-        },
-        per_point=per_point,
+        body={"stats": stats, "per_point": per_point},
         replicate_rows=rows,
         replicate_columns=("n", "replicate", "holder_max"),
     )
@@ -501,9 +481,10 @@ def fdd_convergence_test(
     seed: int,
     p: float | None = None,
     eta: float | None = None,
-) -> ConvergenceReport:
+) -> dict:
     """KS distance between the law of W(n, t)/sqrt(n) and N(0, eta * t) at
-    each grid time; eta defaults to the run's own Var(S_n)/n estimate."""
+    each grid time; eta defaults to the run's own Var(S_n)/n estimate.
+    ``fdd`` lists the [t, KS distance] pairs."""
     time_grid = [float(t) for t in time_grid]
     if any(t <= 0.0 or t > 1.0 for t in time_grid):
         raise ValueError("time_grid must lie in (0, 1]")
@@ -521,16 +502,16 @@ def fdd_convergence_test(
         scale = math.sqrt(eta_hat * t)
         ks = _ks_distance_to_normal(values, scale)
         fdd.append([t, ks])
-    return ConvergenceReport(
-        model=model.label,
-        n=n,
-        replicates=replicates,
-        eta_hat=eta_hat,
-        eta_stderr=eta_se,
-        fdd=fdd,
-        holder_ks=None,
-        seed=seed,
-    )
+    return {
+        "model": model.label,
+        "n": n,
+        "replicates": replicates,
+        "eta_hat": eta_hat,
+        "eta_stderr": eta_se,
+        "fdd": fdd,
+        "holder_ks": None,
+        "seed": seed,
+    }
 
 
 def _ks_distance_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -632,6 +613,7 @@ def holder_tightness_diagnostic(
         )
         verdict = "tightness-consistent" if monotone else "inconclusive"
         passed = monotone
+    stats = {"sup_probability_by_delta": {repr(d): sup_by_delta[d] for d in deltas}}
     return CertificationReport(
         experiment="holder_tightness_diagnostic",
         config={
@@ -645,8 +627,7 @@ def holder_tightness_diagnostic(
         },
         verdict=verdict,
         passed=passed,
-        stats={"sup_probability_by_delta": {repr(d): sup_by_delta[d] for d in deltas}},
-        per_point=per_point,
+        body={"stats": stats, "per_point": per_point},
     )
 
 
@@ -797,8 +778,7 @@ def nontightness_experiment(
         },
         verdict=verdict,
         passed=passed,
-        stats=stats,
-        per_point=[],
+        body={"stats": stats, "per_point": []},
         replicate_rows=[(r, float(v), bool(v >= threshold)) for r, v in enumerate(values)],
         replicate_columns=("replicate", "scaled_windowed_max", "exceeds_threshold"),
     )

@@ -22,10 +22,8 @@ sandwich the exact value.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,8 +39,6 @@ __all__ = [
     "dyadic_lower",
     "windowed_max_batch",
     "pairwise_coarsen",
-    "path_to_csv",
-    "path_from_csv",
 ]
 
 
@@ -110,9 +106,6 @@ class HolderStatistic:
             "argmax_i": i,
             "argmax_j": j,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -486,26 +479,3 @@ def windowed_max_batch(partial_sums: np.ndarray, alpha: float, max_lag: int) -> 
     one-window case of ``windowed_maxima``.
     """
     return windowed_maxima(partial_sums, alpha, [max_lag])[0]
-
-
-def path_to_csv(path: PolygonalPath, fp: IO[str]) -> None:
-    """Write the partial sums as a single-column CSV."""
-    writer = csv.writer(fp)
-    writer.writerow(["partial_sum"])
-    for v in path.partial_sums:
-        writer.writerow([repr(float(v))])
-
-
-def path_from_csv(fp: IO[str]) -> PolygonalPath:
-    """Read a single-column CSV of partial sums (header row optional)."""
-    values = []
-    for row in csv.reader(fp):
-        if not row:
-            continue
-        try:
-            values.append(float(row[0]))
-        except ValueError:
-            if values:
-                raise
-            continue  # header
-    return PolygonalPath(np.asarray(values))

@@ -29,7 +29,6 @@ by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -66,8 +65,7 @@ __all__ = [
     "gaussian_contrast_model",
     "sample_model",
     "apply_PT",
-    "model_to_json",
-    "model_from_json",
+    "semigroup_partial_sums",
 ]
 
 # Integer powers beyond 2**53 lose exactness in double precision, which makes
@@ -104,20 +102,25 @@ def gaussian_abs_moment(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_LAW_NAMES = ("rademacher", "normal", "uniform")
+
+
 @dataclass(frozen=True)
 class InnovationLaw:
     """Mean-zero, unit-variance innovation law."""
 
     name: str
 
+    def __post_init__(self):
+        if self.name not in _LAW_NAMES:
+            raise ValueError(f"innovation: must be one of {_LAW_NAMES}, got {self.name!r}")
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.name == "rademacher":
             return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
         if self.name == "normal":
             return rng.standard_normal(size)
-        if self.name == "uniform":
-            return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
-        raise ValueError(f"unknown innovation law {self.name!r}")
+        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
 
     def abs_moment(self, p: float) -> float:
         """(E|eps|^p)^(1/p); used for exact norms of single-coordinate functions."""
@@ -125,17 +128,13 @@ class InnovationLaw:
             return 1.0
         if self.name == "normal":
             return gaussian_abs_moment(p)
-        if self.name == "uniform":
-            # E|U|^p on [-sqrt(3), sqrt(3)] = 3^(p/2) / (p + 1)
-            return math.exp((0.5 * p * math.log(3.0) - math.log(p + 1.0)) / p)
-        raise ValueError(f"unknown innovation law {self.name!r}")
+        # E|U|^p on [-sqrt(3), sqrt(3)] = 3^(p/2) / (p + 1)
+        return math.exp((0.5 * p * math.log(3.0) - math.log(p + 1.0)) / p)
 
 
 RADEMACHER = InnovationLaw("rademacher")
 NORMAL = InnovationLaw("normal")
 UNIFORM = InnovationLaw("uniform")
-
-_LAWS = {law.name: law for law in (RADEMACHER, NORMAL, UNIFORM)}
 
 # Sign-pattern enumeration beyond this window width is rejected.
 _MAX_TABLE_WIDTH = 22
@@ -654,7 +653,7 @@ class ProcessModel:
 
 def iid_model(innovation: str = "normal", scale: float = 1.0) -> ProcessModel:
     """iid increments scale * eps_t."""
-    law = _LAWS[innovation]
+    law = InnovationLaw(innovation)
     fn: TableFunction | LinearFunction = LinearFunction((0,), (float(scale),))
     if innovation == "rademacher":
         fn = fn.to_table()
@@ -675,7 +674,7 @@ def mds_model(innovation: str = "rademacher", modulation: float = 0.0) -> Proces
     way E[X_t | past] = 0, so the adapted semigroup annihilates the
     increment function.
     """
-    law = _LAWS[innovation]
+    law = InnovationLaw(innovation)
     b = float(modulation)
     if not 0.0 <= abs(b) < 1.0:
         raise ValueError("modulation must satisfy |b| < 1")
@@ -698,6 +697,17 @@ def mds_model(innovation: str = "rademacher", modulation: float = 0.0) -> Proces
     )
 
 
+def _finite_coeffs(values, key: str) -> tuple[float, ...]:
+    """``values`` as a nonempty tuple of finite floats; the error names ``key``."""
+    try:
+        coeffs = () if isinstance(values, str) else tuple(float(c) for c in values)
+    except (TypeError, ValueError):
+        coeffs = ()
+    if not coeffs or not all(math.isfinite(c) for c in coeffs):
+        raise ValueError(f"{key}: must be a nonempty list of finite numbers, got {values!r}")
+    return coeffs
+
+
 def coboundary_model(
     g_coeffs: Iterable[float],
     innovation: str = "rademacher",
@@ -712,10 +722,8 @@ def coboundary_model(
     adapted oracle; ``direction="backward"`` uses g o T^-1 - g instead,
     which also telescopes but stays past-measurable.
     """
-    law = _LAWS[innovation]
-    coeffs = tuple(float(c) for c in g_coeffs)
-    if not coeffs or not all(math.isfinite(c) for c in coeffs):
-        raise ValueError("g_coeffs must be a nonempty list of finite numbers")
+    law = InnovationLaw(innovation)
+    coeffs = _finite_coeffs(g_coeffs, "g_coeffs")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     g = LinearFunction(tuple(-i for i in range(len(coeffs))), coeffs)
@@ -737,10 +745,8 @@ def coboundary_model(
 def linear_process_model(coeffs: Iterable[float], innovation: str = "normal") -> ProcessModel:
     """Causal linear process X_t = sum_{i < L} a_i eps_{t-i} with an explicit
     truncation length L."""
-    law = _LAWS[innovation]
-    a = tuple(float(c) for c in coeffs)
-    if not a or not all(math.isfinite(c) for c in a):
-        raise ValueError("coefficients must be a nonempty list of finite numbers")
+    law = InnovationLaw(innovation)
+    a = _finite_coeffs(coeffs, "coeffs")
     fn: TableFunction | LinearFunction = LinearFunction(tuple(-i for i in range(len(a))), a)
     if innovation == "rademacher":
         fn = fn.to_table()
@@ -835,40 +841,25 @@ def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):
     return ZERO_FUNCTION if fn.is_zero else fn
 
 
-def semigroup_partial_sum(model: ProcessModel, variant: str, h, n: int):
-    """V_n h = sum_{i=0}^{n-1} P^i h, exploiting that finite-memory window
-    functions are annihilated after finitely many applications."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if model.chain is not None:
-        if variant != "adapted":
-            raise CapabilityError("the renewal chain exposes only the adapted oracle")
-        h = np.asarray(h, dtype=float)
-        if np.array_equal(h, model.chain.g_vector()):
-            return ChainOracle(model.chain).v_sum(n)
-        total = h.copy()
-        term = h
-        for _ in range(1, n):
-            term = chain_transition(model.chain, term)
-            total += term
-        return total
-    total = h
-    term = h
-    for _ in range(1, n):
+def semigroup_partial_sums(model: ProcessModel, variant: str, h):
+    """Yield V_1 h, V_2 h, ... with V_n h = sum_{i<n} P^i h.
+
+    Finite-memory window functions are annihilated after finitely many
+    applications: on them the generator ends at the last distinct V_n, once
+    P^n h = 0.  On the renewal chain (h a state vector) it never ends.
+    """
+    total = term = h
+    while True:
+        yield total
         term = apply_PT(model, variant, term, 1)
-        if term.is_zero:
-            break
+        if model.chain is None and term.is_zero:
+            return
         total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def model_to_json(model: ProcessModel) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True)
 
 
 def model_from_dict(doc: dict) -> ProcessModel:
@@ -889,7 +880,3 @@ def model_from_dict(doc: dict) -> ProcessModel:
     if kind == "renewal_chain":
         return renewal_model(float(doc.get("p", 3.0)), int(doc.get("depth", 4)))
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def model_from_json(text: str) -> ProcessModel:
-    return model_from_dict(json.loads(text))

@@ -16,11 +16,10 @@ sum to f itself, so the norm equals (2 + sqrt 2) ||f||_p.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +28,8 @@ from .models import (
     ChainOracle,
     ProcessModel,
     RenewalChainSpec,
-    apply_PT,
     chain_lp_norm,
-    sample_model,
-    semigroup_partial_sum,
+    semigroup_partial_sums,
 )
 from .rng import substream
 
@@ -46,7 +43,6 @@ __all__ = [
     "SeriesDiagnostic",
     "mw_series_diagnostic",
     "counterexample_weights",
-    "projective_series",
 ]
 
 #: A dyadic block of the series must shrink by at least this factor for the
@@ -269,29 +265,26 @@ def mw_norm(
     else:
         oracle = ChainOracle(model.chain)
 
-    # V_{2^j} f stabilizes once P^i f vanishes; track the first stable level.
+    # V_{2^j} f stabilizes once P^i f vanishes: the norm of the last V_n is
+    # taken at the first level 2^j beyond it, which keys its Monte Carlo
+    # substream, and reused from there on.
     terms: list[tuple[int, float]] = []
     stderrs: list[float] = []
-    v = model.increment_fn
-    running = model.increment_fn
-    covered = 1
+    sums = semigroup_partial_sums(model, variant, model.increment_fn)
+    covered = 0
     stable: tuple[float, float] | None = None
     for j in range(J + 1):
         n = 1 << j
         if oracle is not None:
             norm, se = chain_lp_norm(model.chain, oracle.v_sum(n), p), 0.0
-        else:
-            while stable is None and covered < n:
-                running = apply_PT(model, variant, running, 1)
-                if running.is_zero:
-                    stable = _lp_norm_of(model, v, p, mc_samples, seed, j)
-                    break
-                v = v + running
+        elif stable is None:
+            for v in islice(sums, n - covered):
                 covered += 1
-            if stable is not None:
-                norm, se = stable
-            else:
-                norm, se = _lp_norm_of(model, v, p, mc_samples, seed, j)
+            norm, se = _lp_norm_of(model, v, p, mc_samples, seed, j)
+            if covered < n:
+                stable = norm, se
+        else:
+            norm, se = stable
         terms.append((j, 2.0 ** (-0.5 * j) * norm))
         stderrs.append(2.0 ** (-0.5 * j) * se)
     partial = np.cumsum([t for _, t in terms])
@@ -341,15 +334,6 @@ class SeriesDiagnostic:
             "weighted": self.weighted,
         }
 
-    def write_csv(self, fp: IO[str]) -> None:
-        w = csv.writer(fp)
-        w.writerow(["n", "term", "partial_sum", "stderr"])
-        for n, t, s in self.rows:
-            w.writerow([n, repr(t), repr(s), 0.0])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _scale_boundaries(model: ProcessModel, N: int) -> list[int]:
     """Block boundaries for the ratio test, commensurate with the model's
@@ -398,20 +382,11 @@ def conditional_sum_norms(model: ProcessModel, p: float, N: int) -> np.ndarray:
         return ChainOracle(model.chain).v_norms(N, p)
     if not model.has_PT_adapted:
         raise CapabilityError(f"model {model.label!r} has no conditional-sum oracle")
-    f = model.increment_fn
     norms = np.empty(N)
-    v = f
-    term = f
-    k = 1
-    norms[0] = v.lp_norm(p, model.innovation)
-    while k < N:
-        term = apply_PT(model, "adapted", term, 1)
-        if term.is_zero:
-            norms[k:] = v.lp_norm(p, model.innovation)
-            return norms
-        v = v + term
+    sums = semigroup_partial_sums(model, "adapted", model.increment_fn)
+    for k, v in enumerate(islice(sums, N)):
         norms[k] = v.lp_norm(p, model.innovation)
-        k += 1
+    norms[k + 1 :] = norms[k]
     return norms
 
 
@@ -471,27 +446,3 @@ def counterexample_weights(spec: RenewalChainSpec, N: int) -> np.ndarray:
     n = np.arange(1, N + 1)
     k_of_n = np.searchsorted(u, n, side="right")  # number of u_k <= n, >= 1
     return 1.0 / k_of_n.astype(float) ** 2
-
-
-def projective_series(model: ProcessModel, p: float, N: int) -> np.ndarray:
-    """Partial sums of sum_k ||E[f o T^k | past]||_p / sqrt(k), the
-    single-coordinate projective diagnostic (adapted models)."""
-    if not model.has_PT_adapted:
-        raise CapabilityError(f"model {model.label!r} has no adapted oracle")
-    if model.chain is not None:
-        g = model.chain.g_vector()
-        terms = np.empty(N)
-        h = g
-        for k in range(1, N + 1):
-            h = apply_PT(model, "adapted", h, 1)
-            terms[k - 1] = chain_lp_norm(model.chain, h, p) / math.sqrt(k)
-        return np.cumsum(terms)
-    terms = np.empty(N)
-    h = model.increment_fn
-    for k in range(1, N + 1):
-        h = apply_PT(model, "adapted", h, 1)
-        if h.is_zero:
-            terms[k - 1 :] = 0.0
-            break
-        terms[k - 1] = h.lp_norm(p, model.innovation) / math.sqrt(k)
-    return np.cumsum(terms)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 pair maxima by double loop or by the dense per-lag sweep, the continuous
-modulus by dense grid search, conditional sums by direct chain stepping.
+modulus by dense grid search, conditional sums by direct chain stepping,
+semigroup partial sums by applying P^i afresh for every i.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from hwip.holder import PolygonalPath
-from hwip.models import RenewalChainSpec
+from hwip.models import RenewalChainSpec, apply_PT
 
 #: One line per acceptance criterion, echoed after the run (see the
 #: pytest_terminal_summary hook below).
@@ -83,6 +84,18 @@ def grid_modulus(path: PolygonalPath, alpha: float, per_step: int = 8, window_st
         du = lag / per_step
         best = max(best, float(np.max(np.abs(w[lag:] - w[:-lag]))) / du ** alpha)
     return best
+
+
+def brute_force_partial_sum(model, variant, h, n):
+    """V_n h = sum_{i<n} P^i h for a window function h, each P^i h computed
+    from h by apply_PT.  A vanishing term is skipped: it has no window to
+    align."""
+    total = h
+    for i in range(1, n):
+        term = apply_PT(model, variant, h, i)
+        if not term.is_zero:
+            total = total + term
+    return total
 
 
 def mc_conditional_sums(

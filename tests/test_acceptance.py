@@ -254,7 +254,7 @@ def test_criterion_8_invariance_principle_consistency(martingale_report):
         (mds_model("rademacher"), SEED_MDS, {n: mds_stats[n] for n in (2048, 4096)}),
     ):
         conv = fdd_convergence_test(model, 4096, 2000, [0.25, 0.5, 1.0], seed=seed)
-        ks_fdd = max(d for _, d in conv.fdd)
+        ks_fdd = max(d for _, d in conv["fdd"])
         ks_holder = holder_norm_distribution_ks(
             model, 4.0, 2048, 4096, 2000, seed=seed, stats_by_n=stats
         )

@@ -125,6 +125,15 @@ class TestConfigHandling:
             ("dyadic-lemma", "p", 2),
             ("martingale", "p", 1.5),
             ("tightness", "p", 2.0),
+            # counts and sizes below their minimum
+            ("tightness", "replicates", 0),
+            ("martingale", "replicates", 0),
+            ("mw", "replicates", 0),
+            ("dyadic-lemma", "paths_per_model", 0),
+            ("dyadic-lemma", "n_max", 1),
+            ("martingale", "n_grid", [0, 64]),
+            ("fdd", "n", 0),
+            ("tightness", "depth", 1),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -156,6 +165,15 @@ class TestConfigHandling:
             (["norms", "--which", "mw-norm"], "variant", "sideways"),
             (["norms", "--which", "mw-norm"], "variant", 1),
             (["norms", "--which", "mw-series"], "weights", "twos"),
+            # counts and sizes below their minimum
+            (["simulate", "--n", "8"], "replicates", -1),
+            (["simulate", "--n", "8", "--replicates", "-1"], "replicates", 1),
+            (["simulate"], "n", 0),
+            (["norms", "--which", "weak-lp"], "samples", 0),
+            (["norms", "--which", "mw-norm"], "J", -1),
+            (["norms", "--which", "mw-series"], "N", 1),
+            (["counterexample"], "depth", 1),
+            (["counterexample"], "replicates", 0),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -164,6 +182,25 @@ class TestConfigHandling:
         code = run([*argv, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert f"configuration error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "iid", "innovation": "cauchy"}, "innovation"),
+            ({"kind": "linear_process", "coeffs": "abc"}, "coeffs"),
+            ({"kind": "linear_process", "coeffs": 5}, "coeffs"),
+            ({"kind": "martingale_plus_coboundary", "g_coeffs": [1.0, "x"]}, "g_coeffs"),
+        ],
+    )
+    def test_ill_typed_model_key_names_key(self, tmp_path, capsys, model, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        code = run(["simulate", "--n", "8", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: model: {key}:" in err
+        if key == "innovation":
+            assert "('rademacher', 'normal', 'uniform')" in err
 
     def test_config_values_are_read(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -246,3 +283,41 @@ def test_render_summary_is_pure_function_of_doc():
     doc = {"a": 1, "b": {"c": 2.5}, "rows": [{"x": 1}, {"x": 2}]}
     text = render_summary(doc)
     assert "a: 1" in text and "c: 2.5" in text and "x=1" in text
+
+
+#: Top-level keys of every report_*.json, by file: the fields every report
+#: has, plus the body of its kind.
+_COMMON_KEYS = {"experiment", "config", "verdict", "passed"}
+_CERTIFICATION_KEYS = _COMMON_KEYS | {"stats", "per_point"}
+_REPORT_KEYS = {
+    "report_simulate.json": _COMMON_KEYS | {"per_point"},
+    "report_weak_lp.json": _COMMON_KEYS | {"estimate"},
+    "report_mw_norm.json": _COMMON_KEYS | {"report"},
+    "report_mw_series.json": _COMMON_KEYS | {"report"},
+    "report_fdd_convergence.json": _COMMON_KEYS | {"report"},
+    "report_dyadic_lemma.json": _CERTIFICATION_KEYS,
+    "report_martingale_maximal_inequality.json": _CERTIFICATION_KEYS,
+    "report_mw_maximal_inequality.json": _CERTIFICATION_KEYS,
+    "report_holder_tightness_diagnostic.json": _CERTIFICATION_KEYS,
+    "report_counterexample.json": _CERTIFICATION_KEYS,
+    "report_counterexample_contrast.json": _CERTIFICATION_KEYS,
+}
+
+
+def test_report_top_level_keys(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"paths_per_model": 2, "n_max": 8, "n_grid": [16, 32], "replicates": 20, "n": 64})
+    )
+    out = tmp_path / "out"
+    for argv in (
+        ["simulate", "--n", "16"],
+        ["norms", "--which", "weak-lp", "--samples", "100"],
+        ["norms", "--which", "mw-norm", "--J", "4"],
+        ["norms", "--which", "mw-series", "--N", "64"],
+        ["certify", "--suite", "all", "--config", str(cfg)],
+        ["counterexample", "--j", "3", "--delta", "0.1", "--replicates", "5", "--contrast"],
+    ):
+        assert run([*argv, "--seed", "1", "--out", str(out)]) in (0, 1)
+    found = {f.name: set(json.loads(f.read_text())) for f in out.glob("report_*.json")}
+    assert found == _REPORT_KEYS

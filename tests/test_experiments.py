@@ -74,6 +74,11 @@ class TestDyadicLemmaCertificate:
         assert rep.passed
         assert rep.stats["worst_slack"] == 0.0
 
+    def test_empty_grid_is_rejected(self):
+        # n_max = 1 leaves no dyadic n >= 2 to check: no vacuous pass
+        with pytest.raises(ValueError, match="n_max"):
+            certify_dyadic_lemma([iid_model("normal")], 2, 1, 3.0, seed=1)
+
     def test_budget_guard(self):
         with pytest.raises(CapacityError):
             certify_dyadic_lemma([iid_model("normal")], 1, 8192, 3.0, seed=1)
@@ -216,8 +221,8 @@ class TestKsStatistics:
 class TestFddConvergence:
     def test_iid_normal_exact_gaussian(self):
         rep = fdd_convergence_test(iid_model("normal"), 256, 1500, [0.25, 0.5, 1.0], seed=19)
-        assert all(ks < 0.05 for _, ks in rep.fdd)
-        assert abs(rep.eta_hat - 1.0) <= 3 * rep.eta_stderr
+        assert all(ks < 0.05 for _, ks in rep["fdd"])
+        assert abs(rep["eta_hat"] - 1.0) <= 3 * rep["eta_stderr"]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -229,7 +234,7 @@ class TestFddConvergence:
 
     def test_report_json_fields(self):
         rep = fdd_convergence_test(iid_model("normal"), 64, 50, [1.0], seed=21)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(rep))
         assert {"model", "n", "replicates", "eta_hat", "fdd", "seed"} <= set(doc)
 
 

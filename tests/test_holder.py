@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -21,8 +20,6 @@ from hwip.holder import (
     holder_norm_of_path,
     modulus_restricted,
     pairwise_coarsen,
-    path_from_csv,
-    path_to_csv,
     windowed_max_batch,
     windowed_maxima,
 )
@@ -122,14 +119,6 @@ class TestPolygonalPath:
         with pytest.raises(ValueError):
             p.evaluate(1.5)
 
-    def test_csv_roundtrip(self):
-        p = PolygonalPath.from_increments(np.linspace(-1, 1, 9))
-        buf = io.StringIO()
-        path_to_csv(p, buf)
-        buf.seek(0)
-        q = path_from_csv(buf)
-        np.testing.assert_array_equal(p.partial_sums, q.partial_sums)
-
 
 class TestExactMax:
     def test_constant_path_is_zero(self):
@@ -177,7 +166,7 @@ class TestExactMax:
 
     def test_statistic_json_fields(self):
         stat = holder_max_exact(path_of(0.0, 1.0), 0.25)
-        doc = json.loads(stat.to_json())
+        doc = json.loads(json.dumps(stat.to_dict()))
         assert set(doc) == {"value", "method", "alpha", "argmax_i", "argmax_j"}
 
 

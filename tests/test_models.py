@@ -1,16 +1,21 @@
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats as sstats
 
 from hwip.errors import CapabilityError, CapacityError
 from hwip.models import (
     NORMAL,
     RADEMACHER,
+    ChainOracle,
     HolderExponent,
     LinearFunction,
+    ProcessModel,
     TableFunction,
     apply_PT,
     build_renewal_chain,
@@ -24,17 +29,16 @@ from hwip.models import (
     iid_model,
     linear_process_model,
     mds_model,
-    model_from_json,
-    model_to_json,
+    model_from_dict,
     renewal_model,
     renewal_variance_constant,
     sample_model,
     sample_renewal_path,
-    semigroup_partial_sum,
+    semigroup_partial_sums,
 )
 from hwip.rng import substream
 
-from conftest import mc_conditional_sums
+from conftest import brute_force_partial_sum, mc_conditional_sums
 
 
 class TestHolderExponent:
@@ -189,16 +193,70 @@ class TestChainOperator:
                 assert chain_lp_norm(chain_spec, out, 3.0) <= base * (1 + 1e-12)
 
     def test_semigroup_partial_sum_matches_dp(self, chain_spec):
-        model = renewal_model(3.0, 4)
-        g = chain_spec.g_vector()
-        for n in (1, 2, 7, 33):
-            direct = g.copy()
-            term = g
-            for _ in range(1, n):
-                term = chain_transition(chain_spec, term)
-                direct = direct + term
-            via_dp = semigroup_partial_sum(model, "adapted", g, n)
-            np.testing.assert_allclose(via_dp, direct, rtol=1e-11, atol=1e-13)
+        # V_n g by chain stepping against the regeneration dynamic program
+        sums = semigroup_partial_sums(renewal_model(3.0, 4), "adapted", chain_spec.g_vector())
+        oracle = ChainOracle(chain_spec)
+        for n, direct in enumerate(islice(sums, 33), start=1):
+            np.testing.assert_allclose(oracle.v_sum(n), direct, rtol=1e-11, atol=1e-13)
+
+
+def _bits(h):
+    """A window function as comparable exact values."""
+    if isinstance(h, TableFunction):
+        return ("table", h.lo, h.table.shape, h.table.tobytes())
+    return ("linear", h.offsets, h.coeffs)
+
+
+def _two_sided(coeffs, lo: int, table: bool) -> ProcessModel:
+    """Increments sum_i c_i eps_{t+lo+i}: a window reaching into the future
+    when lo + len(c) > 1, which only the nonadapted semigroup acts on."""
+    fn = LinearFunction(tuple(range(lo, lo + len(coeffs))), coeffs)
+    return ProcessModel(
+        kind="linear_process",
+        label="two_sided",
+        innovation=RADEMACHER if table else NORMAL,
+        increment_fn=fn.to_table() if table else fn,
+    )
+
+
+_COEFFS = st.lists(
+    st.just(0.0) | st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=6,
+)
+_WINDOW_MODELS = st.one_of(
+    st.builds(linear_process_model, _COEFFS, st.sampled_from(["normal", "rademacher"])),
+    st.builds(mds_model, st.just("rademacher"), st.floats(-0.9, 0.9, allow_nan=False)),
+    st.builds(
+        coboundary_model,
+        _COEFFS,
+        st.just("rademacher"),
+        st.sampled_from([None, 0.5, 1.0]),
+        st.sampled_from(["backward", "forward"]),
+    ),
+    st.builds(_two_sided, _COEFFS, st.integers(-3, 3), st.booleans()),
+)
+
+#: Generator terms checked per model and variant; every window function here
+#: is annihilated well before.
+_TERMS = 40
+
+
+class TestSemigroupPartialSums:
+    @settings(max_examples=80, deadline=None)
+    @given(model=_WINDOW_MODELS)
+    def test_matches_brute_force_and_ends_at_nilpotency(self, model):
+        f = model.increment_fn
+        variants = (["adapted"] if model.has_PT_adapted else []) + ["nonadapted"]
+        for variant in variants:
+            sums = list(islice(semigroup_partial_sums(model, variant, f), _TERMS))
+            ends = next(
+                (n for n in range(1, _TERMS + 1) if apply_PT(model, variant, f, n).is_zero),
+                _TERMS,
+            )
+            assert len(sums) == ends  # V_1 .. V_n with n the first P^n f = 0
+            for n, v in enumerate(sums, start=1):
+                assert _bits(v) == _bits(brute_force_partial_sum(model, variant, f, n))
 
 
 class TestWindowFunctions:
@@ -395,9 +453,9 @@ class TestSerialization:
         ids=lambda m: m.kind,
     )
     def test_roundtrip_preserves_sampling(self, model):
-        clone = model_from_json(model_to_json(model))
+        clone = model_from_dict(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_array_equal(sample_model(model, 50, 8), sample_model(clone, 50, 8))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            model_from_json(json.dumps({"kind": "bogus"}))
+            model_from_dict({"kind": "bogus"})

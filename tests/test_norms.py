@@ -1,5 +1,5 @@
-import io
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hwip.models import (
     linear_process_model,
     mds_model,
     renewal_model,
-    semigroup_partial_sum,
+    semigroup_partial_sums,
 )
 from hwip.norms import (
     counterexample_weights,
@@ -24,7 +24,6 @@ from hwip.norms import (
     empirical_weak_lp,
     mw_norm,
     mw_series_diagnostic,
-    projective_series,
     weak_lp_max_bound_check,
 )
 from hwip.rng import substream
@@ -33,6 +32,11 @@ from hwip.rng import substream
 # 10% of the true value 1 (the estimator's overshoot is of order one with
 # substantial probability at any sample size, so the check is seed-pinned).
 PARETO_SEED = 13
+
+
+def v_sum(model, variant, f, n):
+    """V_n f, which stays at the last distinct V_m once P^m f = 0."""
+    return list(islice(semigroup_partial_sums(model, variant, f), n))[-1]
 
 
 class TestEmpiricalWeakLp:
@@ -180,12 +184,12 @@ class TestMwNorm:
         )
         rep = mw_norm(model, "nonadapted", 3.0, J=12)
         assert rep.converged
-        v2 = semigroup_partial_sum(model, "nonadapted", fn, 2)
+        v2 = v_sum(model, "nonadapted", fn, 2)
         expected_level1 = 2.0 ** -0.5 * v2.lp_norm(3.0, RADEMACHER)
         assert rep.terms[1][1] == pytest.approx(expected_level1, rel=1e-13)
         # V_n stabilizes once the future window is exhausted
-        v_big = semigroup_partial_sum(model, "nonadapted", fn, 50)
-        v_small = semigroup_partial_sum(model, "nonadapted", fn, 2)
+        v_big = v_sum(model, "nonadapted", fn, 50)
+        v_small = v_sum(model, "nonadapted", fn, 2)
         assert (v_big - v_small).lp_norm(3.0, RADEMACHER) < 1e-14
 
     def test_adapted_nonadapted_split_consistency(self):
@@ -198,8 +202,8 @@ class TestMwNorm:
         from hwip.models import apply_PT
 
         assert apply_PT(model, "nonadapted", f_adapted, 1).is_zero
-        v_f = semigroup_partial_sum(model, "nonadapted", f_centered, 8)
-        v_c = semigroup_partial_sum(model, "nonadapted", f - f_adapted, 8)
+        v_f = v_sum(model, "nonadapted", f_centered, 8)
+        v_c = v_sum(model, "nonadapted", f - f_adapted, 8)
         assert (v_f - v_c).lp_norm(3.0, model.innovation) < 1e-14
 
 
@@ -244,22 +248,6 @@ class TestSeriesDiagnostics:
         partial = np.cumsum(norms / k ** 1.5)
         for n, _, s in diag.rows:
             assert s == pytest.approx(partial[n - 1], rel=1e-12)
-
-    def test_csv_export_columns(self):
-        diag = mw_series_diagnostic(mds_model("rademacher"), 3.0, None, 32)
-        buf = io.StringIO()
-        diag.write_csv(buf)
-        header = buf.getvalue().splitlines()[0]
-        assert header == "n,term,partial_sum,stderr"
-
-    def test_projective_series_mds_vanishes(self):
-        partial = projective_series(mds_model("rademacher"), 3.0, 32)
-        assert np.all(partial == 0.0)
-
-    def test_projective_series_linear_model_bounded(self):
-        model = linear_process_model([1.0, 0.5, 0.25, 0.125], "normal")
-        partial = projective_series(model, 3.0, 64)
-        assert partial[-1] == partial[3]  # terms vanish beyond the window
 
 
 class TestConditionalSumNorms:
