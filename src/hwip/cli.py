@@ -77,10 +77,14 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _expect_int(doc: dict, key: str, minimum: int | None = None) -> int:
+def _expect_int(
+    doc: dict, key: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ConfigError(f"{key}: must lie in {minimum}..{maximum}, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
     return value
@@ -89,6 +93,11 @@ def _expect_int(doc: dict, key: str, minimum: int | None = None) -> int:
 def _at_least(minimum: int):
     """Check for an integer >= ``minimum`` (counts and sizes)."""
     return partial(_expect_int, minimum=minimum)
+
+
+def _between(minimum: int, maximum: int):
+    """Check for an integer in ``minimum..maximum``."""
+    return partial(_expect_int, minimum=minimum, maximum=maximum)
 
 
 def _expect_number(doc: dict, key: str) -> float:
@@ -104,6 +113,10 @@ def _expect_p(doc: dict, key: str) -> float:
     if not p > 2.0:
         raise ConfigError(f"{key}: must be > 2, got {p}")
     return p
+
+
+def _number_or_null(doc: dict, key: str) -> float | None:
+    return None if doc[key] is None else _expect_number(doc, key)
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -144,10 +157,25 @@ def _flag_or_config(args, config: dict, key: str, default, expect):
     return _checked(config, key, default, expect)
 
 
+#: Checks for the scalar model keys, applied to each one present whatever
+#: the kind; ``model_from_dict`` checks the string and list keys.  It is
+#: passed the values as written, so the model's ``params`` keep them.
+_MODEL_SCALARS = {
+    "scale": _expect_number,
+    "modulation": _expect_number,
+    "mds_part": _number_or_null,
+    "p": _expect_p,
+    "depth": _at_least(2),
+}
+
+
 def _model_from_config(config: dict, default_kind: str = "iid"):
     doc = config.get("model", {"kind": default_kind})
     if not isinstance(doc, dict):
         raise ConfigError("model: expected an object")
+    for key, expect in _MODEL_SCALARS.items():
+        if key in doc:
+            expect({f"model.{key}": doc[key]}, f"model.{key}")
     try:
         return model_from_dict(doc)
     except (ValueError, KeyError) as exc:
@@ -373,7 +401,7 @@ def _cmd_counterexample(args, config: dict, seed: int, out: Path, fmt: str) -> i
     depth = _flag_or_config(args, config, "depth", 4, _at_least(2))
     K = _flag_or_config(args, config, "K", 2, _at_least(1))
     delta = _flag_or_config(args, config, "delta", 1e-3, _expect_number)
-    j_level = _flag_or_config(args, config, "j", depth, _at_least(1))
+    j_level = _flag_or_config(args, config, "j", depth, _between(1, depth))
     replicates = _flag_or_config(args, config, "replicates", 200, _at_least(1))
     spec = build_renewal_chain(p, depth)
     rep = nontightness_experiment(

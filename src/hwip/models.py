@@ -466,7 +466,12 @@ def sample_renewal_path(
     Y_0 is drawn from the stationary law unless ``start_state`` is given.
     The path is reconstructed from its regeneration times: every state
     equals the distance to the next visit of 0, so it suffices to draw the
-    initial state and the iid return times.
+    initial state and the iid return times.  With the gaps between
+    returns (``y0`` first when ``y0 >= 1``, then the return times tau) and
+    the returns ``r = cumsum(gaps)``, the times t in (r_{i-1}, r_i] all
+    wait for r_i, so ``Y_t = r_i - t`` there: ``Y_1, ..., Y_length`` is
+    ``repeat(r, gaps)`` minus ``1, ..., length``, cut after the first
+    return that reaches ``length``.
     """
     length = int(length)
     if length < 1:
@@ -480,8 +485,8 @@ def sample_renewal_path(
             raise ValueError(f"start_state must lie in [0, {spec.n_states})")
     values = spec.tau_values
     probs = spec.tau_probs
-    # Return times after 0: y0 (if y0 >= 1), then iid tau increments until
-    # the path is covered one return beyond its end.
+    # Gaps between returns to 0: y0 (if y0 >= 1), then iid tau increments
+    # until the returns reach past the end of the path.
     blocks = [np.array([y0], dtype=np.int64)] if y0 >= 1 else []
     total = y0
     batch = max(64, int(1.2 * (length / spec.mean_tau)) + 8)
@@ -489,11 +494,13 @@ def sample_renewal_path(
         taus = rng.choice(values, size=batch, p=probs)
         blocks.append(taus)
         total += int(taus.sum())
-    returns = np.cumsum(np.concatenate(blocks)) if blocks else np.zeros(0, dtype=np.int64)
-    anchors = returns if y0 >= 1 else np.concatenate(([0], returns))
-    t = np.arange(length + 1)
-    nxt = anchors[np.searchsorted(anchors, t, side="left")]
-    states = (nxt - t).astype(np.int64)
+    gaps = np.concatenate(blocks)
+    returns = np.cumsum(gaps)
+    k = int(np.searchsorted(returns, length, side="left")) + 1
+    states = np.empty(length + 1, dtype=np.int64)
+    states[0] = y0
+    states[1:] = np.repeat(returns[:k], gaps[:k])[:length]
+    states[1:] -= np.arange(1, length + 1)
     increments = spec.g(states[1:])
     return states, increments
 

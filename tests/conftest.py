@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 pair maxima by double loop or by the dense per-lag sweep, the continuous
-modulus by dense grid search, conditional sums by direct chain stepping,
-semigroup partial sums by applying P^i afresh for every i.
+modulus by dense grid search, conditional sums and renewal paths by
+direct chain stepping, semigroup partial sums by applying P^i afresh for
+every i.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from hwip.holder import PolygonalPath
 from hwip.models import RenewalChainSpec, apply_PT
+from hwip.rng import substream
 
 #: One line per acceptance criterion, echoed after the run (see the
 #: pytest_terminal_summary hook below).
@@ -119,6 +121,37 @@ def mc_conditional_sums(
     means = sums.mean(axis=0)
     stderr = sums.std(axis=0, ddof=1) / np.sqrt(replicates)
     return means, stderr
+
+
+def stepped_renewal_path(spec: RenewalChainSpec, length: int, seed: int, start_state=None):
+    """(Y_0, ..., Y_length) and (g(Y_1), ..., g(Y_length)) by stepping the
+    chain in plain Python: Y_{t+1} = Y_t - 1, or tau - 1 when Y_t = 0.
+
+    Y_0 and the return times tau come from ``substream(seed)`` in the order
+    and batch sizes of ``sample_renewal_path`` (Y_0 first, then batches of
+    taus), so the two paths must agree bit for bit; a batch is drawn only
+    when a return needs a tau the earlier batches did not hold.
+    """
+    rng = substream(seed)
+    if start_state is None:
+        y = int(rng.choice(spec.n_states, p=spec.pi / spec.pi.sum()))
+    else:
+        y = int(start_state)
+    batch = max(64, int(1.2 * (length / spec.mean_tau)) + 8)
+    taus = iter(())
+    states = [y]
+    for _ in range(length):
+        if y == 0:
+            tau = next(taus, None)
+            if tau is None:
+                taus = iter(rng.choice(spec.tau_values, size=batch, p=spec.tau_probs).tolist())
+                tau = next(taus)
+            y = tau - 1
+        else:
+            y -= 1
+        states.append(y)
+    increments = [(1.0 if y == 0 else 0.0) - spec.pi0 for y in states[1:]]
+    return np.array(states, dtype=np.int64), np.array(increments)
 
 
 @pytest.fixture(scope="session")

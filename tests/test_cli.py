@@ -202,6 +202,53 @@ class TestConfigHandling:
         if key == "innovation":
             assert "('rademacher', 'normal', 'uniform')" in err
 
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "iid", "scale": [1]}, "scale"),
+            ({"kind": "iid", "scale": "big"}, "scale"),
+            ({"kind": "martingale_difference", "modulation": None}, "modulation"),
+            ({"kind": "martingale_plus_coboundary", "mds_part": "x"}, "mds_part"),
+            ({"kind": "renewal_chain", "p": "3"}, "p"),
+            ({"kind": "renewal_chain", "p": 2}, "p"),
+            ({"kind": "renewal_chain", "depth": "x"}, "depth"),
+            ({"kind": "renewal_chain", "depth": 1}, "depth"),
+            ({"kind": "renewal_chain", "depth": True}, "depth"),
+        ],
+    )
+    def test_ill_typed_model_scalar_names_key(self, tmp_path, capsys, model, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        code = run(["simulate", "--n", "8", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: model.{key}:" in err
+        assert "Traceback" not in err
+
+    def test_null_mds_part_is_the_pure_coboundary(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "martingale_plus_coboundary", "mds_part": None}}))
+        code = run(["simulate", "--n", "8", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, config, bound",
+        [
+            ([], {"j": 9}, "1..4, got 9"),
+            ([], {"j": 0}, "1..4, got 0"),
+            ([], {"depth": 3, "j": 4}, "1..3, got 4"),
+            (["--j", "5"], {}, "1..4, got 5"),  # the flag is checked too
+        ],
+    )
+    def test_counterexample_level_beyond_depth_names_key(self, tmp_path, capsys, argv, config, bound):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(["counterexample", *argv, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: j: must lie in {bound}" in err
+        assert "Traceback" not in err
+
     def test_config_values_are_read(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 32, "replicates": 2, "p": 4}))

@@ -4,7 +4,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sstats
 
@@ -38,7 +38,7 @@ from hwip.models import (
 )
 from hwip.rng import substream
 
-from conftest import brute_force_partial_sum, mc_conditional_sums
+from conftest import brute_force_partial_sum, mc_conditional_sums, stepped_renewal_path
 
 
 class TestHolderExponent:
@@ -144,6 +144,52 @@ class TestRenewalPath:
     def test_length_validation(self, chain_spec):
         with pytest.raises(ValueError):
             sample_renewal_path(chain_spec, 0, 1)
+
+
+def _assert_matches_stepping(spec, length, seed, start_state):
+    states, inc = sample_renewal_path(spec, length, seed, start_state)
+    ref_states, ref_inc = stepped_renewal_path(spec, length, seed, start_state)
+    assert states.dtype == np.int64 and inc.dtype == ref_inc.dtype
+    np.testing.assert_array_equal(states, ref_states)
+    np.testing.assert_array_equal(inc, ref_inc)
+    return ref_states
+
+
+class TestRenewalPathMatchesStepping:
+    """sample_renewal_path rebuilds the path from its return gaps; the
+    oracle steps the chain one time at a time from the same draws."""
+
+    # (p, depth, length, start, seed); start is None (stationary) or a
+    # state, -1 meaning n_states - 1.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2.5, 3.0, 4.0]),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=2500),
+        st.one_of(st.none(), st.integers(min_value=-1, max_value=1200)),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @example(3.0, 4, 1, None, 0)  # length 1
+    @example(3.0, 4, 1, 0, 0)  # length 1 from a return
+    @example(3.0, 4, 130, -1, 1)  # ends on the first return; the taus go unused
+    @example(3.0, 4, 129, -1, 2)  # n_states - 1 > length: no tau is drawn
+    @example(4.0, 3, 9, -1, 2)  # n_states - 1 == length
+    @example(3.0, 4, 500, 0, 3)  # starts at 0
+    @example(3.0, 2, 300, None, 4)  # depth 2: tau = 1 keeps the chain at 0
+    @example(2.5, 2, 1, 1, 5)
+    def test_matches_stepping(self, p, depth, length, start, seed):
+        spec = build_renewal_chain(p, depth)
+        if start is not None:
+            start = spec.n_states - 1 if start == -1 else start % spec.n_states
+        _assert_matches_stepping(spec, length, seed, start)
+
+    def test_every_length_up_to_400(self, chain_spec):
+        # Every length, so some paths end exactly on a later return too.
+        ends_on_return = 0
+        for length in range(1, 401):
+            states = _assert_matches_stepping(chain_spec, length, 11, None)
+            ends_on_return += bool(states[-1] == 0 and length > states[0])
+        assert ends_on_return > 0
 
 
 class TestConditionalSumOracle:
