@@ -18,7 +18,6 @@ from .holder import (
     modulus_restricted,
 )
 from .models import (
-    HolderExponent,
     ProcessModel,
     RenewalChainSpec,
     apply_PT,

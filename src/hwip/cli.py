@@ -1,10 +1,21 @@
 """Command-line entry point.
 
 Subcommands: simulate | norms | certify | counterexample | report.
-Every run validates its configuration, embeds it verbatim in the emitted
-report JSON, and writes a human-readable summary whose every number is a
-field of that JSON.  Exit codes: 0 all verdicts pass, 1 some verdict
-failed, 2 configuration error.
+Each run reads its configuration through one spec, ``{key: (default,
+check)}``, by ``hwip.config.read``: a key's value is its ``--key`` flag,
+else the key of the ``--config`` file, else its default, and a flag passes
+the same check as a config value.  ``simulate``, ``norms`` and
+``counterexample`` get one flag per key of their specs; ``certify`` reads
+its config only, through the spec of each suite in ``_SUITES``.  A config
+key or flag that the run does not read exits 2 and names itself.  The
+``model`` key is read by ``model_from_dict``, through the spec of the
+model's kind (``hwip.models.MODEL_KINDS``); its errors read
+``model.<key>: ...``.
+
+Every run embeds its configuration verbatim in the emitted report JSON,
+and writes a human-readable summary whose every number is a field of that
+JSON.  Exit codes: 0 all verdicts pass, 1 some verdict failed, 2
+configuration error.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
 then the published default.  Every run is single-threaded and all
@@ -18,14 +29,16 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
+from .config import at_least, expect_int, expect_number, expect_p, list_of, one_of, read
 from .errors import CapacityError, ConfigError
 from .holder import PolygonalPath, holder_max_exact, holder_norm_of_path
 from .models import (
     build_renewal_chain,
     gaussian_contrast_model,
+    iid_model,
+    mds_model,
     model_from_dict,
     renewal_model,
     sample_model,
@@ -40,10 +53,8 @@ from .experiments import (
     holder_tightness_diagnostic,
     nontightness_experiment,
 )
-from .models import iid_model, mds_model
 from .rng import DEFAULT_SEED, substream
 
-_SUITES = ("dyadic-lemma", "martingale", "mw", "fdd", "tightness", "all")
 _VARIANTS = ("adapted", "nonadapted")
 _WEIGHTS = ("ones", "counterexample")
 
@@ -58,7 +69,7 @@ def _resolve_seed(args, config: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"HWIP_SEED: not an integer: {env!r}") from exc
     if "seed" in config:
-        return _expect_int(config, "seed")
+        return expect_int(config, "seed")
     return DEFAULT_SEED
 
 
@@ -77,109 +88,57 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _expect_int(
-    doc: dict, key: str, minimum: int | None = None, maximum: int | None = None
-) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if maximum is not None and not minimum <= value <= maximum:
-        raise ConfigError(f"{key}: must lie in {minimum}..{maximum}, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _at_least(minimum: int):
-    """Check for an integer >= ``minimum`` (counts and sizes)."""
-    return partial(_expect_int, minimum=minimum)
-
-
-def _between(minimum: int, maximum: int):
-    """Check for an integer in ``minimum..maximum``."""
-    return partial(_expect_int, minimum=minimum, maximum=maximum)
-
-
-def _expect_number(doc: dict, key: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _expect_p(doc: dict, key: str) -> float:
-    """The moment exponent: a number > 2, so that alpha = 1/2 - 1/p > 0."""
-    p = _expect_number(doc, key)
-    if not p > 2.0:
-        raise ConfigError(f"{key}: must be > 2, got {p}")
-    return p
-
-
-def _number_or_null(doc: dict, key: str) -> float | None:
-    return None if doc[key] is None else _expect_number(doc, key)
-
-
-def _one_of(choices: tuple[str, ...]):
-    """Check for one of the strings ``choices``."""
-
-    def check(doc: dict, key: str) -> str:
-        value = doc[key]
-        if value not in choices:
-            raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
-        return value
-
-    return check
-
-
-def _list_of(expect):
-    """Check for a nonempty list whose every item passes ``expect``."""
-
-    def check(doc: dict, key: str) -> list:
-        value = doc[key]
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{key}: expected a nonempty list, got {value!r}")
-        return [expect({key: item}, key) for item in value]
-
-    return check
-
-
-def _checked(config: dict, key: str, default, expect):
-    """``expect(config, key)`` when the key is present, else ``default``."""
-    return expect(config, key) if key in config else default
-
-
-def _flag_or_config(args, config: dict, key: str, default, expect):
-    """The ``--key`` flag when given, else the config key, else ``default``;
-    a flag value passes the same ``expect`` check as a config value."""
-    value = getattr(args, key)
-    if value is not None:
-        return expect({key: value}, key)
-    return _checked(config, key, default, expect)
-
-
-#: Checks for the scalar model keys, applied to each one present whatever
-#: the kind; ``model_from_dict`` checks the string and list keys.  It is
-#: passed the values as written, so the model's ``params`` keep them.
-_MODEL_SCALARS = {
-    "scale": _expect_number,
-    "modulation": _expect_number,
-    "mds_part": _number_or_null,
-    "p": _expect_p,
-    "depth": _at_least(2),
-}
-
-
-def _model_from_config(config: dict, default_kind: str = "iid"):
-    doc = config.get("model", {"kind": default_kind})
+def _model(config: dict, key: str):
+    """Check for a model document; ``model_from_dict`` checks its keys."""
+    doc = config[key]
     if not isinstance(doc, dict):
-        raise ConfigError("model: expected an object")
-    for key, expect in _MODEL_SCALARS.items():
-        if key in doc:
-            expect({f"model.{key}": doc[key]}, f"model.{key}")
+        raise ConfigError(f"{key}: expected an object, got {doc!r}")
     try:
         return model_from_dict(doc)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key}.{exc}") from exc
+
+
+def _flag_value(text: str):
+    """A flag's text as the config value it stands for: an integer, else a
+    number, else the string itself.  The key's check then applies."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read(spec: dict, args, config: dict, what: str, known=None) -> dict:
+    """``read`` with the subcommand's flags: a flag outside ``spec`` is an
+    unknown key, like a config key."""
+    return read(spec, config, {key: getattr(args, key) for key in args.flags}, known, what)
+
+
+# Specs, ``{key: (default, check)}``.  Every run shares the defaults, so
+# they are immutable.  A default of None is derived by the run from the
+# other keys; a missing ``model`` is the run's default kind.
+_P3 = (3.0, expect_p)
+_MODEL = (None, _model)
+_SIMULATE = {"model": _MODEL, "n": (1024, at_least(1)), "replicates": (1, at_least(1)), "p": _P3}
+_NORMS = {
+    "weak-lp": {"p": _P3, "samples": (100000, at_least(1))},
+    "mw-norm": {
+        "model": _MODEL, "p": _P3, "variant": ("adapted", one_of(_VARIANTS)), "J": (12, at_least(0)),
+    },
+    "mw-series": {
+        "model": _MODEL, "p": _P3, "N": (1 << 14, at_least(2)), "weights": ("ones", one_of(_WEIGHTS)),
+    },
+}
+_COUNTEREXAMPLE = {
+    "p": _P3,
+    "depth": (4, at_least(2)),
+    "K": (2, at_least(1)),
+    "delta": (1e-3, expect_number),
+    "j": (None, expect_int),  # the excursion level, 1..depth; default depth
+    "replicates": (200, at_least(1)),
+}
 
 
 def _write_outputs(out_dir: Path, name: str, report: CertificationReport, fmt: str) -> None:
@@ -215,11 +174,13 @@ def render_summary(doc: dict, indent: str = "") -> str:
     return "\n".join(lines) + ("\n" if not indent else "")
 
 
-def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
-    model = _model_from_config(config)
-    n = _flag_or_config(args, config, "n", 1024, _at_least(1))
-    replicates = _flag_or_config(args, config, "replicates", 1, _at_least(1))
-    p = _flag_or_config(args, config, "p", 3.0, _expect_p)
+# Each command returns its reports by file name; ``main`` writes them.
+
+
+def _cmd_simulate(args, config: dict, seed: int) -> dict:
+    v = _read(_SIMULATE, args, config, "simulate")
+    model = v["model"] or model_from_dict({"kind": "iid"})
+    n, replicates, p = v["n"], v["replicates"], v["p"]
     alpha = 0.5 - 1.0 / p
     rows = []
     stats = []
@@ -239,186 +200,150 @@ def _cmd_simulate(args, config: dict, seed: int, out: Path, fmt: str) -> int:
         rows.extend((r, t, float(partial[t])) for t in range(len(partial)))
     report = CertificationReport(
         experiment="simulate",
-        config={
-            "model": model.to_dict(),
-            "n": n,
-            "replicates": replicates,
-            "p": p,
-            "seed": seed,
-        },
+        config={"model": model.to_dict(), "n": n, "replicates": replicates, "p": p, "seed": seed},
         verdict="simulated",
         passed=True,
         body={"per_point": stats},
         replicate_rows=rows,
         replicate_columns=("replicate", "t", "partial_sum"),
     )
-    _write_outputs(out, "simulate", report, fmt)
-    return 0
+    return {"simulate": report}
 
 
-def _cmd_norms(args, config: dict, seed: int, out: Path, fmt: str) -> int:
+def _cmd_norms(args, config: dict, seed: int) -> dict:
     which = args.which
-    p = _flag_or_config(args, config, "p", 3.0, _expect_p)
+    v = _read(_NORMS[which], args, config, f"norms --which {which}")
+    p = v["p"]
     if which == "weak-lp":
-        n_samples = _flag_or_config(args, config, "samples", 100000, _at_least(1))
-        rng = substream(seed, 0)
-        samples = rng.uniform(size=n_samples) ** (-1.0 / p)
+        samples = substream(seed, 0).uniform(size=v["samples"]) ** (-1.0 / p)
         report = CertificationReport(
             experiment="weak_lp_pareto",
-            config={"p": p, "samples": n_samples, "seed": seed},
+            config={"p": p, "samples": v["samples"], "seed": seed},
             verdict="estimated",
             passed=True,
             body={"estimate": empirical_weak_lp(samples, p).to_dict()},
         )
-        _write_outputs(out, "weak_lp", report, fmt)
-        return 0
-    model = _model_from_config(config, default_kind="renewal_chain")
+        return {"weak_lp": report}
+    model = v["model"] or model_from_dict({"kind": "renewal_chain"})
     if which == "mw-norm":
-        variant = _flag_or_config(args, config, "variant", "adapted", _one_of(_VARIANTS))
-        J = _flag_or_config(args, config, "J", 12, _at_least(0))
-        rep = mw_norm(model, variant, p, J)
+        rep = mw_norm(model, v["variant"], p, v["J"])
         report = CertificationReport(
             experiment="mw_norm",
-            config={"model": model.to_dict(), "p": p, "J": J, "variant": variant, "seed": seed},
+            config={
+                "model": model.to_dict(), "p": p, "J": v["J"], "variant": v["variant"], "seed": seed,
+            },
             verdict="converged" if rep.converged else "not converged at J",
             passed=bool(rep.converged),
             body={"report": rep.to_dict()},
         )
-        _write_outputs(out, "mw_norm", report, fmt)
-        return 0 if rep.converged else 1
-    if which == "mw-series":
-        N = _flag_or_config(args, config, "N", 1 << 14, _at_least(2))
-        weights = None
-        weighted = _flag_or_config(args, config, "weights", "ones", _one_of(_WEIGHTS))
-        if weighted == "counterexample":
-            if model.chain is None:
-                raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
-            weights = counterexample_weights(model.chain, N)
-        diag = mw_series_diagnostic(model, p, weights, N)
-        report = CertificationReport(
-            experiment="mw_series",
-            config={"model": model.to_dict(), "p": p, "N": N, "weights": weighted, "seed": seed},
-            verdict=diag.verdict,
-            passed=True,
-            body={"report": diag.to_dict()},
-            replicate_rows=list(diag.rows),
-            replicate_columns=("n", "term", "partial_sum"),
-        )
-        _write_outputs(out, "mw_series", report, fmt)
-        return 0
-    raise ConfigError(f"which: unknown norms operation {which!r}")
-
-
-def _cmd_certify(args, config: dict, seed: int, out: Path, fmt: str) -> int:
-    suite = args.suite
-    if suite not in _SUITES:
-        raise ConfigError(f"suite: must be one of {_SUITES}")
-    reports = []
-    if suite in ("dyadic-lemma", "all"):
-        models = [
-            iid_model("normal"),
-            mds_model("rademacher", modulation=0.5),
-            renewal_model(3.0, 4),
-        ]
-        reports.append(
-            certify_dyadic_lemma(
-                models,
-                paths_per_model=_checked(config, "paths_per_model", 200, _at_least(1)),
-                n_max=_checked(config, "n_max", 256, _at_least(2)),
-                p=_checked(config, "p", 3.0, _expect_p),
-                seed=seed,
-            )
-        )
-    if suite in ("martingale", "all"):
-        reports.append(
-            certify_martingale_inequality(
-                mds_model("rademacher"),
-                p=_checked(config, "p", 4.0, _expect_p),
-                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_at_least(1))),
-                replicates=_checked(config, "replicates", 400, _at_least(1)),
-                seed=seed,
-            )
-        )
-    if suite in ("mw", "all"):
-        reports.append(
-            certify_mw_inequality(
-                renewal_model(3.0, 4),
-                variant="adapted",
-                p=_checked(config, "p", 3.0, _expect_p),
-                n_grid=_checked(config, "n_grid", [64, 256, 1024], _list_of(_at_least(1))),
-                replicates=_checked(config, "replicates", 400, _at_least(1)),
-                seed=seed,
-            )
-        )
-    if suite in ("fdd", "all"):
-        n = _checked(config, "n", 2048, _at_least(1))
-        # Var(S_n) / n and the KS distance need two replicates.
-        replicates = _checked(config, "replicates", 1000, _at_least(2))
-        rep = fdd_convergence_test(
-            mds_model("rademacher"),
-            n=n,
-            replicates=replicates,
-            time_grid=_checked(config, "time_grid", [0.25, 0.5, 1.0], _list_of(_expect_number)),
-            seed=seed,
-        )
-        threshold = _checked(config, "ks_threshold", 0.05, _expect_number)
-        passed = all(ks <= threshold for _, ks in rep["fdd"])
-        verdict = "consistent with the Gaussian limit" if passed else "KS distance above threshold"
-        reports.append(
-            CertificationReport(
-                experiment="fdd_convergence",
-                config={"n": n, "replicates": replicates, "seed": seed, "ks_threshold": threshold},
-                verdict=verdict,
-                passed=passed,
-                body={"report": rep},
-            )
-        )
-    if suite in ("tightness", "all"):
-        spec = build_renewal_chain(
-            _checked(config, "p", 3.0, _expect_p), _checked(config, "depth", 4, _at_least(2))
-        )
-        eps = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
-        reports.append(
-            holder_tightness_diagnostic(
-                gaussian_contrast_model(spec),
-                p=spec.p,
-                n_grid=_checked(config, "n_grid", [1024, 2048], _list_of(_at_least(1))),
-                replicates=_checked(config, "replicates", 200, _at_least(1)),
-                delta_grid=_checked(
-                    config, "delta_grid", [0.25, 0.0625, 0.015625], _list_of(_expect_number)
-                ),
-                epsilon=_checked(config, "epsilon", eps, _expect_number),
-                seed=seed,
-            )
-        )
-    for rep in reports:
-        _write_outputs(out, rep.experiment, rep, fmt)
-    return 0 if all(rep.passed for rep in reports) else 1
-
-
-def _cmd_counterexample(args, config: dict, seed: int, out: Path, fmt: str) -> int:
-    p = _flag_or_config(args, config, "p", 3.0, _expect_p)
-    depth = _flag_or_config(args, config, "depth", 4, _at_least(2))
-    K = _flag_or_config(args, config, "K", 2, _at_least(1))
-    delta = _flag_or_config(args, config, "delta", 1e-3, _expect_number)
-    j_level = _flag_or_config(args, config, "j", depth, _between(1, depth))
-    replicates = _flag_or_config(args, config, "replicates", 200, _at_least(1))
-    spec = build_renewal_chain(p, depth)
-    rep = nontightness_experiment(
-        spec, K=K, j_level=j_level, delta=delta, replicates=replicates, seed=seed,
+        return {"mw_norm": report}
+    N, weights = v["N"], None
+    if v["weights"] == "counterexample":
+        if model.chain is None:
+            raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
+        weights = counterexample_weights(model.chain, N)
+    diag = mw_series_diagnostic(model, p, weights, N)
+    report = CertificationReport(
+        experiment="mw_series",
+        config={"model": model.to_dict(), "p": p, "N": N, "weights": v["weights"], "seed": seed},
+        verdict=diag.verdict,
+        passed=True,
+        body={"report": diag.to_dict()},
+        replicate_rows=list(diag.rows),
+        replicate_columns=("n", "term", "partial_sum"),
     )
-    _write_outputs(out, "counterexample", rep, fmt)
-    exit_code = 0 if rep.passed else 1
+    return {"mw_series": report}
+
+
+def _fdd(v: dict, seed: int) -> CertificationReport:
+    threshold = v.pop("ks_threshold")
+    rep = fdd_convergence_test(mds_model("rademacher"), seed=seed, **v)
+    passed = all(ks <= threshold for _, ks in rep["fdd"])
+    return CertificationReport(
+        experiment="fdd_convergence",
+        config={"n": v["n"], "replicates": v["replicates"], "seed": seed, "ks_threshold": threshold},
+        verdict="consistent with the Gaussian limit" if passed else "KS distance above threshold",
+        passed=passed,
+        body={"report": rep},
+    )
+
+
+def _tightness(v: dict, seed: int) -> CertificationReport:
+    spec = build_renewal_chain(v.pop("p"), v.pop("depth"))
+    if v["epsilon"] is None:
+        v["epsilon"] = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
+    return holder_tightness_diagnostic(gaussian_contrast_model(spec), p=spec.p, seed=seed, **v)
+
+
+_N_GRID = ((64, 256, 1024), list_of(at_least(1)))
+
+#: The certify suites: name -> (spec, runner).  A runner takes the values
+#: read through the spec and the seed, and returns one report.
+_SUITES = {
+    "dyadic-lemma": (
+        {"paths_per_model": (200, at_least(1)), "n_max": (256, at_least(2)), "p": _P3},
+        lambda v, seed: certify_dyadic_lemma(
+            [iid_model("normal"), mds_model("rademacher", modulation=0.5), renewal_model(3.0, 4)],
+            seed=seed,
+            **v,
+        ),
+    ),
+    "martingale": (
+        {"p": (4.0, expect_p), "n_grid": _N_GRID, "replicates": (400, at_least(1))},
+        lambda v, seed: certify_martingale_inequality(mds_model("rademacher"), seed=seed, **v),
+    ),
+    "mw": (
+        {"p": _P3, "n_grid": _N_GRID, "replicates": (400, at_least(1))},
+        lambda v, seed: certify_mw_inequality(renewal_model(3.0, 4), "adapted", seed=seed, **v),
+    ),
+    "fdd": (
+        {
+            "n": (2048, at_least(1)),
+            # Var(S_n) / n and the KS distance need two replicates.
+            "replicates": (1000, at_least(2)),
+            "time_grid": ((0.25, 0.5, 1.0), list_of(expect_number)),
+            "ks_threshold": (0.05, expect_number),
+        },
+        _fdd,
+    ),
+    "tightness": (
+        {
+            "p": _P3,
+            "depth": (4, at_least(2)),
+            "n_grid": ((1024, 2048), list_of(at_least(1))),
+            "replicates": (200, at_least(1)),
+            "delta_grid": ((0.25, 0.0625, 0.015625), list_of(expect_number)),
+            "epsilon": (None, expect_number),  # default pi0 / (2 * 2^(1/p))
+        },
+        _tightness,
+    ),
+}
+
+
+def _cmd_certify(args, config: dict, seed: int) -> dict:
+    """``--suite all`` runs every suite and accepts a key if one suite reads it."""
+    names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
+    known = {key for name in names for key in _SUITES[name][0]}
+    what = f"certify --suite {args.suite}"
+    values = [_read(_SUITES[name][0], args, config, what, known) for name in names]
+    reports = [_SUITES[name][1](v, seed) for name, v in zip(names, values)]
+    return {rep.experiment: rep for rep in reports}
+
+
+def _cmd_counterexample(args, config: dict, seed: int) -> dict:
+    v = _read(_COUNTEREXAMPLE, args, config, "counterexample")
+    depth = v["depth"]
+    j_level = depth if v["j"] is None else expect_int(v, "j", minimum=1, maximum=depth)
+    spec = build_renewal_chain(v["p"], depth)
+    run = dict(K=v["K"], j_level=j_level, delta=v["delta"], replicates=v["replicates"], seed=seed)
+    reports = {"counterexample": nontightness_experiment(spec, **run)}
     if args.contrast:
-        con = nontightness_experiment(
-            spec, K=K, j_level=j_level, delta=delta, replicates=replicates, seed=seed,
-            process="gaussian",
-        )
-        _write_outputs(out, "counterexample_contrast", con, fmt)
-    return exit_code
+        reports["counterexample_contrast"] = nontightness_experiment(spec, **run, process="gaussian")
+    return reports
 
 
-def _cmd_report(args, config: dict, seed: int, out: Path, fmt: str) -> int:
+def _cmd_report(args, config: dict, out: Path) -> int:
+    read({}, config, what="report")
     src = Path(args.input or out)
     files = sorted(src.glob("report_*.json"))
     if not files:
@@ -446,60 +371,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name: str, summary: str, func, *specs):
+        """A subcommand with the common flags and one flag per key of ``specs``."""
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="master seed (overrides HWIP_SEED and config)")
         sp.add_argument("--out", default="hwip_out", help="output directory")
         sp.add_argument("--format", choices=("json", "csv", "both"), default="both")
+        flags = {k: default for spec in specs for k, (default, _) in spec.items() if k != "model"}
+        for key, default in flags.items():
+            sp.add_argument(
+                f"--{key}", type=_flag_value, help=None if default is None else f"default: {default}"
+            )
+        sp.set_defaults(func=func, flags=tuple(flags))
+        return sp
 
-    sp = sub.add_parser("simulate", help="sample paths and their Hölder statistics")
-    common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--p", type=float)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("norms", help="weak-Lp estimates, dyadic norms and series diagnostics")
-    common(sp)
-    sp.add_argument("--which", choices=("weak-lp", "mw-norm", "mw-series"), required=True)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--variant", choices=_VARIANTS)
-    sp.add_argument("--J", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--weights", choices=_WEIGHTS)
-    sp.set_defaults(func=_cmd_norms)
-
-    sp = sub.add_parser("certify", help="run certification suites")
-    common(sp)
-    sp.add_argument("--suite", choices=_SUITES, required=True)
-    sp.set_defaults(func=_cmd_certify)
-
-    sp = sub.add_parser("counterexample", help="heavy-excursion non-tightness demonstration")
-    common(sp)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--j", type=int, help="excursion level (default: depth)")
-    sp.add_argument("--replicates", type=int)
+    command("simulate", "sample paths and their Hölder statistics", _cmd_simulate, _SIMULATE)
+    sp = command(
+        "norms", "weak-Lp estimates, dyadic norms and series diagnostics", _cmd_norms,
+        *_NORMS.values(),
+    )
+    sp.add_argument("--which", choices=tuple(_NORMS), required=True)
+    sp = command("certify", "run certification suites", _cmd_certify)
+    sp.add_argument("--suite", choices=(*_SUITES, "all"), required=True)
+    sp = command(
+        "counterexample", "heavy-excursion non-tightness demonstration", _cmd_counterexample,
+        _COUNTEREXAMPLE,
+    )
     sp.add_argument("--contrast", action="store_true", help="also run the variance-matched Gaussian null")
-    sp.set_defaults(func=_cmd_counterexample)
-
-    sp = sub.add_parser("report", help="re-render summaries from existing report JSON files")
-    common(sp)
+    sp = command("report", "re-render summaries from existing report JSON files", None)
     sp.add_argument("--input", metavar="DIR", help="directory holding report_*.json (default: --out)")
-    sp.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
         config = _load_config(args.config)
         seed = _resolve_seed(args, config)
-        return args.func(args, config, seed, Path(args.out), args.format)
+        config.pop("seed", None)  # read above, in its own order
+        if args.command == "report":
+            return _cmd_report(args, config, out)
+        reports = args.func(args, config, seed)
+        for name, report in reports.items():
+            _write_outputs(out, name, report, args.format)
+        return 0 if all(report.passed for report in reports.values()) else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,0 +1,103 @@
+"""Run-configuration specs: typed checks and the one reader.
+
+A spec maps each key a run reads to ``(default, check)``.  A check is called
+as ``check(doc, key)`` and returns ``doc[key]`` checked (and converted), or
+raises ``ConfigError`` with a message that starts with the key.  ``read``
+takes each key from its flag, else from the config, else its default, and
+rejects every key outside the spec.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+from .errors import ConfigError
+
+
+def expect_int(doc: dict, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ConfigError(f"{key}: must lie in {minimum}..{maximum}, got {value}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
+    return value
+
+
+def at_least(minimum: int):
+    """Check for an integer >= ``minimum`` (counts and sizes)."""
+    return partial(expect_int, minimum=minimum)
+
+
+def expect_number(doc: dict, key: str) -> float:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def expect_p(doc: dict, key: str) -> float:
+    """The moment exponent: a number > 2, so that alpha = 1/2 - 1/p > 0."""
+    p = expect_number(doc, key)
+    if not p > 2.0:
+        raise ConfigError(f"{key}: must be > 2, got {p}")
+    return p
+
+
+def number_or_null(doc: dict, key: str):
+    """A number or null, returned as written."""
+    if doc[key] is not None:
+        expect_number(doc, key)
+    return doc[key]
+
+
+def as_given(doc: dict, key: str):
+    """No check here: the value is checked where it is used (a model builder)."""
+    return doc[key]
+
+
+def one_of(choices: tuple[str, ...]):
+    """Check for one of the strings ``choices``."""
+
+    def check(doc: dict, key: str) -> str:
+        value = doc[key]
+        if value not in choices:
+            raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
+        return value
+
+    return check
+
+
+def list_of(expect):
+    """Check for a nonempty list whose every item passes ``expect``."""
+
+    def check(doc: dict, key: str) -> list:
+        value = doc[key]
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key}: expected a nonempty list, got {value!r}")
+        return [expect({key: item}, key) for item in value]
+
+    return check
+
+
+def read(
+    spec: dict, config: dict, flags: dict | None = None, known=None, what: str = "this run"
+) -> dict:
+    """Each key of ``spec``: its flag when given (not None), else its config
+    value, else its default.  A flag or config value passes the key's check;
+    a default is taken as it is.  A config key or given flag outside
+    ``known`` (the spec's keys by default) raises ``ConfigError`` naming it.
+    """
+    given = {key: value for key, value in (flags or {}).items() if value is not None}
+    known = spec if known is None else known
+    for key in (*config, *given):
+        if key not in known:
+            reads = ", ".join(sorted(known)) or "no keys"
+            raise ConfigError(f"{key}: not a key of {what}, which reads {reads}")
+    return {
+        key: check(given if key in given else config, key)
+        if key in given or key in config
+        else default
+        for key, (default, check) in spec.items()
+    }

@@ -86,10 +86,6 @@ class InequalityConstants:
     def K_p(self) -> float:
         return 2.0 ** (1.0 / self.p - 0.5) + math.sqrt(2.0) * (2.0 + self.K_of_PT)
 
-    @property
-    def C_p_mode(self) -> str:
-        return "unknown_ratio_report"
-
 
 @dataclass
 class CertificationReport:

@@ -36,11 +36,11 @@ from typing import Iterable
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CapabilityError, CapacityError
+from .config import as_given, at_least, expect_number, expect_p, number_or_null, read
+from .errors import CapabilityError, CapacityError, ConfigError
 from .rng import as_generator
 
 __all__ = [
-    "HolderExponent",
     "InnovationLaw",
     "RADEMACHER",
     "NORMAL",
@@ -74,21 +74,6 @@ _EXACT_INT_LIMIT = 2.0 ** 53
 
 #: Hard cap for the regeneration dynamic program.
 DP_BUDGET = 1 << 22
-
-
-@dataclass(frozen=True)
-class HolderExponent:
-    """Tail exponent p > 2 and the associated Hölder exponent alpha = 1/2 - 1/p."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p > 2.0:
-            raise ValueError(f"p must exceed 2, got {self.p}")
-
-    @property
-    def alpha(self) -> float:
-        return 0.5 - 1.0 / self.p
 
 
 def gaussian_abs_moment(p: float) -> float:
@@ -684,14 +669,17 @@ def mds_model(innovation: str = "rademacher", modulation: float = 0.0) -> Proces
     law = InnovationLaw(innovation)
     b = float(modulation)
     if not 0.0 <= abs(b) < 1.0:
-        raise ValueError("modulation must satisfy |b| < 1")
+        raise ValueError(f"modulation: must satisfy |b| < 1, got {b}")
     if b == 0.0:
         fn: TableFunction | LinearFunction = LinearFunction((0,), (1.0,))
         if innovation == "rademacher":
             fn = fn.to_table()
     else:
         if innovation != "rademacher":
-            raise CapabilityError("modulated martingale differences require rademacher innovations")
+            raise CapabilityError(
+                "modulation: a nonzero modulation requires rademacher innovations, "
+                f"got {innovation!r}"
+            )
         eps_prev = np.array([-1.0, 1.0]).reshape(2, 1)
         eps_now = np.array([-1.0, 1.0]).reshape(1, 2)
         fn = TableFunction(-1, eps_now * (1.0 + b * np.tanh(eps_prev)))
@@ -732,7 +720,7 @@ def coboundary_model(
     law = InnovationLaw(innovation)
     coeffs = _finite_coeffs(g_coeffs, "g_coeffs")
     if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+        raise ValueError(f"direction: must be 'forward' or 'backward', got {direction!r}")
     g = LinearFunction(tuple(-i for i in range(len(coeffs))), coeffs)
     shift = 1 if direction == "forward" else -1
     fn: TableFunction | LinearFunction = g.shift(shift) - g
@@ -869,21 +857,44 @@ def semigroup_partial_sums(model: ProcessModel, variant: str, h):
 # ---------------------------------------------------------------------------
 
 
+#: The keys each model kind reads, as a config spec ``{key: (default,
+#: check)}``, with the builder they are passed to.  ``as_given`` leaves a
+#: key to its builder's own check (innovation laws, coefficient lists, the
+#: coboundary direction and the modulation's range).
+MODEL_KINDS = {
+    "iid": (iid_model, {"innovation": ("normal", as_given), "scale": (1.0, expect_number)}),
+    "martingale_difference": (
+        mds_model,
+        {"innovation": ("rademacher", as_given), "modulation": (0.0, expect_number)},
+    ),
+    "martingale_plus_coboundary": (
+        coboundary_model,
+        {
+            "g_coeffs": ((1.0,), as_given),
+            "innovation": ("rademacher", as_given),
+            "mds_part": (1.0, number_or_null),
+            "direction": ("forward", as_given),
+        },
+    ),
+    "linear_process": (
+        linear_process_model,
+        {"coeffs": ((1.0,), as_given), "innovation": ("normal", as_given)},
+    ),
+    "renewal_chain": (renewal_model, {"p": (3.0, expect_p), "depth": (4, at_least(2))}),
+}
+
+#: Keys ``ProcessModel.to_dict`` derives from the others; reading a written
+#: model back skips them.
+_DERIVED_KEYS = ("label", "chain")
+
+
 def model_from_dict(doc: dict) -> ProcessModel:
+    """The model of kind ``doc["kind"]`` built from the keys ``MODEL_KINDS``
+    lists for that kind.  Each key passes its check, and any other key
+    (``_DERIVED_KEYS`` aside) raises ``ConfigError`` naming it."""
     kind = doc.get("kind")
-    if kind == "iid":
-        return iid_model(doc.get("innovation", "normal"), float(doc.get("scale", 1.0)))
-    if kind == "martingale_difference":
-        return mds_model(doc.get("innovation", "rademacher"), float(doc.get("modulation", 0.0)))
-    if kind == "martingale_plus_coboundary":
-        return coboundary_model(
-            doc.get("g_coeffs", [1.0]),
-            doc.get("innovation", "rademacher"),
-            doc.get("mds_part", 1.0),
-            doc.get("direction", "forward"),
-        )
-    if kind == "linear_process":
-        return linear_process_model(doc.get("coeffs", [1.0]), doc.get("innovation", "normal"))
-    if kind == "renewal_chain":
-        return renewal_model(float(doc.get("p", 3.0)), int(doc.get("depth", 4)))
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ConfigError(f"kind: must be one of {tuple(MODEL_KINDS)}, got {kind!r}")
+    build, spec = MODEL_KINDS[kind]
+    keys = {k: v for k, v in doc.items() if k != "kind" and k not in _DERIVED_KEYS}
+    return build(**read(spec, keys, what=f"model kind {kind!r}"))

@@ -198,7 +198,7 @@ class TestConfigHandling:
         code = run(["simulate", "--n", "8", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"configuration error: model: {key}:" in err
+        assert f"configuration error: model.{key}:" in err
         if key == "innovation":
             assert "('rademacher', 'normal', 'uniform')" in err
 
@@ -214,6 +214,10 @@ class TestConfigHandling:
             ({"kind": "renewal_chain", "depth": "x"}, "depth"),
             ({"kind": "renewal_chain", "depth": 1}, "depth"),
             ({"kind": "renewal_chain", "depth": True}, "depth"),
+            # the builders' own checks
+            ({"kind": "martingale_difference", "modulation": 1.5}, "modulation"),
+            ({"kind": "martingale_difference", "innovation": "normal", "modulation": 0.5}, "modulation"),
+            ({"kind": "martingale_plus_coboundary", "direction": "up"}, "direction"),
         ],
     )
     def test_ill_typed_model_scalar_names_key(self, tmp_path, capsys, model, key):
@@ -248,6 +252,98 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"configuration error: j: must lie in {bound}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["simulate", "--n", "8"], {"replicatez": 3}, "replicatez"),
+            (["norms", "--which", "weak-lp"], {"sample": 100}, "sample"),
+            (["norms", "--which", "mw-norm"], {"j": 3}, "j"),
+            (["norms", "--which", "mw-series"], {"n": 64}, "n"),
+            (["certify", "--suite", "dyadic-lemma"], {"paths": 2}, "paths"),
+            (["certify", "--suite", "martingale"], {"depth": 3}, "depth"),
+            (["certify", "--suite", "mw"], {"replicate": 3}, "replicate"),
+            (["certify", "--suite", "fdd"], {"time_grids": [0.5]}, "time_grids"),
+            (["certify", "--suite", "tightness"], {"eps": 0.1}, "eps"),
+            (["certify", "--suite", "all"], {"n_grids": [64]}, "n_grids"),
+            (["counterexample"], {"J": 3}, "J"),
+            (["report"], {"inputs": "elsewhere"}, "inputs"),
+            # a model where the run reads none
+            (["norms", "--which", "weak-lp"], {"model": {"kind": "iid"}}, "model"),
+            (["counterexample"], {"model": {"kind": "renewal_chain"}}, "model"),
+            (["certify", "--suite", "dyadic-lemma"], {"model": {"kind": "iid"}}, "model"),
+            (["certify", "--suite", "all"], {"model": {"kind": "iid"}}, "model"),
+            # a model key of another kind
+            (["simulate", "--n", "8"], {"model": {"kind": "iid", "modulation": 0.5}}, "model.modulation"),
+            (
+                ["simulate", "--n", "8"],
+                {"model": {"kind": "martingale_difference", "scale": 2.0}},
+                "model.scale",
+            ),
+            (
+                ["simulate", "--n", "8"],
+                {"model": {"kind": "martingale_plus_coboundary", "coeffs": [1.0]}},
+                "model.coeffs",
+            ),
+            (
+                ["simulate", "--n", "8"],
+                {"model": {"kind": "linear_process", "g_coeffs": [1.0]}},
+                "model.g_coeffs",
+            ),
+            (
+                ["simulate", "--n", "8"],
+                {"model": {"kind": "renewal_chain", "innovation": "normal"}},
+                "model.innovation",
+            ),
+            # a flag the run does not read
+            (["norms", "--which", "weak-lp", "--J", "3"], {}, "J"),
+            (["norms", "--which", "mw-norm", "--N", "64"], {}, "N"),
+        ],
+    )
+    def test_unknown_key_names_key(self, tmp_path, capsys, argv, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {key}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, key, text, value",
+        [
+            (["simulate", "--n", "16"], "replicates", "2", 2),
+            (["simulate", "--replicates", "2"], "n", "16", 16),
+            (["simulate", "--n", "16"], "p", "4", 4),
+            (["norms", "--which", "weak-lp", "--samples", "100"], "p", "3.5", 3.5),
+            (["norms", "--which", "weak-lp"], "samples", "100", 100),
+            (["norms", "--which", "mw-norm", "--J", "3"], "variant", "nonadapted", "nonadapted"),
+            (["norms", "--which", "mw-norm"], "J", "3", 3),
+            (["norms", "--which", "mw-norm", "--J", "3"], "p", "4", 4),
+            (["norms", "--which", "mw-series", "--N", "64"], "weights", "counterexample", "counterexample"),
+            (["norms", "--which", "mw-series"], "N", "64", 64),
+            (["norms", "--which", "mw-series", "--N", "64"], "p", "3.5", 3.5),
+            (["counterexample", "--delta", "0.1", "--j", "3", "--replicates", "4"], "p", "3.5", 3.5),
+            (["counterexample", "--delta", "0.1", "--replicates", "4"], "depth", "3", 3),
+            (["counterexample", "--delta", "0.1", "--j", "3", "--replicates", "4"], "K", "3", 3),
+            (["counterexample", "--j", "3", "--replicates", "4"], "delta", "0.2", 0.2),
+            (["counterexample", "--delta", "0.5", "--replicates", "4"], "j", "2", 2),
+            (["counterexample", "--delta", "0.1", "--j", "3"], "replicates", "4", 4),
+        ],
+    )
+    def test_flag_equals_config_key(self, tmp_path, argv, key, text, value):
+        """``--key v`` and the config key ``{"key": v}`` write the same files."""
+        # The nonadapted variant needs a model on which it is defined.
+        model = {"model": {"kind": "martingale_plus_coboundary"}} if key == "variant" else {}
+        outputs = []
+        for extra, config in (([f"--{key}", text], model), ([], {**model, key: value})):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"out{len(outputs)}"
+            assert run([*argv, *extra, "--seed", "3", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert any(name.startswith("report_") for name in outputs[0])
 
     def test_config_values_are_read(self, tmp_path):
         cfg = tmp_path / "cfg.json"

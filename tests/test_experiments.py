@@ -41,7 +41,6 @@ class TestConstants:
     def test_K_p_formula(self):
         c = InequalityConstants(p=3.0, K_of_PT=2.0)
         assert c.K_p == pytest.approx(2.0 ** (1 / 3 - 0.5) + math.sqrt(2.0) * 4.0, rel=1e-14)
-        assert c.C_p_mode == "unknown_ratio_report"
 
     def test_validation(self):
         with pytest.raises(ValueError):

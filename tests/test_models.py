@@ -13,7 +13,6 @@ from hwip.models import (
     NORMAL,
     RADEMACHER,
     ChainOracle,
-    HolderExponent,
     LinearFunction,
     ProcessModel,
     TableFunction,
@@ -39,16 +38,6 @@ from hwip.models import (
 from hwip.rng import substream
 
 from conftest import brute_force_partial_sum, mc_conditional_sums, stepped_renewal_path
-
-
-class TestHolderExponent:
-    def test_alpha(self):
-        e = HolderExponent(4.0)
-        assert e.alpha == 0.25
-
-    def test_requires_p_above_two(self):
-        with pytest.raises(ValueError):
-            HolderExponent(2.0)
 
 
 def test_gaussian_abs_moment_matches_quadrature():
