@@ -31,8 +31,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import at_least, expect_int, expect_number, expect_p, list_of, one_of, read
-from .errors import CapacityError, ConfigError
+from .config import (
+    at_least, expect_int, expect_number, expect_p, fraction, list_of, one_of, positive, read,
+)
+from .errors import CapabilityError, CapacityError, ConfigError
 from .holder import PolygonalPath, holder_max_exact, holder_norm_of_path
 from .models import (
     build_renewal_chain,
@@ -43,7 +45,9 @@ from .models import (
     renewal_model,
     sample_model,
 )
-from .norms import counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic
+from .norms import (
+    counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic, require_variant,
+)
 from .experiments import (
     CertificationReport,
     certify_dyadic_lemma,
@@ -135,7 +139,7 @@ _COUNTEREXAMPLE = {
     "p": _P3,
     "depth": (4, at_least(2)),
     "K": (2, at_least(1)),
-    "delta": (1e-3, expect_number),
+    "delta": (1e-3, fraction),
     "j": (None, expect_int),  # the excursion level, 1..depth; default depth
     "replicates": (200, at_least(1)),
 }
@@ -226,6 +230,10 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
         return {"weak_lp": report}
     model = v["model"] or model_from_dict({"kind": "renewal_chain"})
     if which == "mw-norm":
+        try:
+            require_variant(model, v["variant"])
+        except CapabilityError as exc:
+            raise ConfigError(f"variant: {exc}") from exc
         rep = mw_norm(model, v["variant"], p, v["J"])
         report = CertificationReport(
             experiment="mw_norm",
@@ -301,7 +309,7 @@ _SUITES = {
             "n": (2048, at_least(1)),
             # Var(S_n) / n and the KS distance need two replicates.
             "replicates": (1000, at_least(2)),
-            "time_grid": ((0.25, 0.5, 1.0), list_of(expect_number)),
+            "time_grid": ((0.25, 0.5, 1.0), list_of(fraction)),
             "ks_threshold": (0.05, expect_number),
         },
         _fdd,
@@ -312,8 +320,8 @@ _SUITES = {
             "depth": (4, at_least(2)),
             "n_grid": ((1024, 2048), list_of(at_least(1))),
             "replicates": (200, at_least(1)),
-            "delta_grid": ((0.25, 0.0625, 0.015625), list_of(expect_number)),
-            "epsilon": (None, expect_number),  # default pi0 / (2 * 2^(1/p))
+            "delta_grid": ((0.25, 0.0625, 0.015625), list_of(fraction, decreasing=True)),
+            "epsilon": (None, positive),  # default pi0 / (2 * 2^(1/p))
         },
         _tightness,
     ),

@@ -9,6 +9,7 @@ rejects every key outside the spec.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 from .errors import ConfigError
@@ -31,10 +32,34 @@ def at_least(minimum: int):
 
 
 def expect_number(doc: dict, key: str) -> float:
+    """A finite number: JSON's ``NaN`` and ``Infinity``, a flag's ``nan``
+    and ``inf``, and an integer beyond the float range are rejected."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {number}")
+    return number
+
+
+def positive(doc: dict, key: str) -> float:
+    """A number > 0."""
+    value = expect_number(doc, key)
+    if not value > 0.0:
+        raise ConfigError(f"{key}: must be > 0, got {value}")
+    return value
+
+
+def fraction(doc: dict, key: str) -> float:
+    """A number in (0, 1]: a time or a window as a share of the path."""
+    value = expect_number(doc, key)
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{key}: must lie in (0, 1], got {value}")
+    return value
 
 
 def expect_p(doc: dict, key: str) -> float:
@@ -69,14 +94,18 @@ def one_of(choices: tuple[str, ...]):
     return check
 
 
-def list_of(expect):
-    """Check for a nonempty list whose every item passes ``expect``."""
+def list_of(expect, decreasing: bool = False):
+    """Check for a nonempty list whose every item passes ``expect``; with
+    ``decreasing``, no item may exceed the one before it."""
 
     def check(doc: dict, key: str) -> list:
         value = doc[key]
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{key}: expected a nonempty list, got {value!r}")
-        return [expect({key: item}, key) for item in value]
+        items = [expect({key: item}, key) for item in value]
+        if decreasing and sorted(items, reverse=True) != items:
+            raise ConfigError(f"{key}: must be decreasing, got {value!r}")
+        return items
 
     return check
 

@@ -13,7 +13,10 @@ tightness.  Every windowed or full maximum comes from one exact
 branch-and-bound lag sweep, ``windowed_maxima``, for a batch of paths and
 several windows at once: per segment of lags it bounds each block of
 starts from a pyramid of block minima and maxima and scans only the blocks
-whose bound reaches the running maximum.  ``holder_max_windowed`` /
+whose bound reaches the running maximum.  The surviving blocks of a
+segment are scanned lag by lag over (starts, blocks) slabs, the blocks on
+the fast axis, when there are at least as many of them as lags; fewer are
+scanned as one (blocks, starts, lags) array.  ``holder_max_windowed`` /
 ``holder_max_exact`` read it for one path with its attaining pair,
 ``windowed_max_batch`` for a batch of paths and one window.
 ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
@@ -218,16 +221,62 @@ def _block_bounds(pyramid, level: int, lo: int, n: int, alpha: float) -> np.ndar
     return up
 
 
-def _block_differences(s: np.ndarray, rows: np.ndarray, starts: np.ndarray, size: int, lo: int, hi: int):
-    """``|S_{i+d} - S_i|`` for the starts a <= i < a + size and the lags
-    lo..hi of each (row, a), gathered a few blocks at a time.
+def _block_maxima(
+    s: np.ndarray, rows: np.ndarray, starts: np.ndarray, size: int, lo: int, hi: int, alpha: float
+) -> np.ndarray:
+    """Per start block c, ``max |S_{i+d} - S_i| / d**alpha`` over the starts
+    ``starts[c] <= i < starts[c] + size`` of row ``rows[c]`` and the lags
+    lo..hi.
 
-    Yields ``(rows, a, diff)`` with ``diff[c, p, d - lo]`` for start
-    ``a[c] + p``.  Indices past n are clipped to n.  A start past n then
-    gives 0; a start i <= n with i + d > n gives the real pair (i, n)
-    divided by the larger scale ``d ** alpha``, never above that pair's own
-    quotient, which lies in the window too.
+    Indices past n are clipped to n.  A start past n then gives 0; a start
+    i <= n with i + d > n gives the real pair (i, n) divided by the larger
+    scale ``d ** alpha``, never above that pair's own quotient, which lies
+    in the window too.
+
+    The layout follows the number of blocks: with at least as many blocks
+    as lags, ``_maxima_by_lag``; with fewer, where one pass per lag would
+    cost more in calls than in work, ``_maxima_by_block``.  Either way each
+    quotient is ``fl(|S_j - S_i|) / fl(d ** alpha)``, so the maxima are the
+    same bits.
     """
+    scan = _maxima_by_lag if starts.size >= hi - lo + 1 else _maxima_by_block
+    return scan(s, rows, starts, size, lo, hi, _scales(lo, hi, alpha))
+
+
+def _maxima_by_lag(s, rows, starts, size: int, lo: int, hi: int, scales) -> np.ndarray:
+    """``_block_maxima`` lag by lag.  The sums of a chunk of blocks are
+    gathered once as (offsets, blocks), about ``_CHUNK`` of them; then each
+    lag is one pass over a (starts, blocks) slab, the blocks on the fast
+    axis."""
+    n = s.shape[1] - 1
+    lags = hi - lo + 1
+    # offsets from a block's first start: its starts are the first ``size``,
+    # its ends the last ``size + lags - 1``
+    offsets = np.concatenate((np.arange(min(lo, size)), np.arange(lo, lo + size + lags - 1)))[:, None]
+    flat = s.ravel()
+    out = np.empty(starts.size)
+    step = max(1, _CHUNK // offsets.size)
+    for c0 in range(0, starts.size, step):
+        at = starts[c0 : c0 + step] + offsets
+        np.minimum(at, n, out=at)
+        at += rows[c0 : c0 + step] * (n + 1)
+        sums = flat.take(at)
+        s_i, s_j = sums[:size], sums[-(size + lags - 1) :]
+        diff = np.empty_like(s_i)
+        per_lag = np.empty((lags, s_i.shape[1]))
+        for t in range(lags):
+            np.subtract(s_j[t : t + size], s_i, out=diff)
+            np.abs(diff, out=diff)
+            diff.max(axis=0, out=per_lag[t])
+        per_lag /= scales[:, None]
+        per_lag.max(axis=0, out=out[c0 : c0 + step])
+    return out
+
+
+def _maxima_by_block(s, rows, starts, size: int, lo: int, hi: int, scales) -> np.ndarray:
+    """``_block_maxima`` as one (blocks, starts, lags) array of differences
+    per chunk of about ``_CHUNK``; a block with more differences is split
+    into pieces of starts."""
     n = s.shape[1] - 1
     lags = hi - lo + 1
     piece = size
@@ -236,6 +285,7 @@ def _block_differences(s: np.ndarray, rows: np.ndarray, starts: np.ndarray, size
     if piece < size:
         starts = (starts[:, None] + np.arange(0, size, piece)).ravel()
         rows = np.repeat(rows, size // piece)
+    out = np.empty(starts.size)
     step = max(1, _CHUNK // (piece * lags))
     at_i = np.arange(piece)
     at_j = np.arange(lo, lo + piece + lags - 1)
@@ -245,7 +295,10 @@ def _block_differences(s: np.ndarray, rows: np.ndarray, starts: np.ndarray, size
         s_i = s[r, np.minimum(a + at_i, n)]
         s_j = s[r, np.minimum(a + at_j, n)]
         diff = sliding_window_view(s_j, lags, axis=1) - s_i[:, :, None]
-        yield r[:, 0], a[:, 0], np.abs(diff, out=diff)
+        per_lag = np.abs(diff, out=diff).max(axis=1)
+        per_lag /= scales
+        per_lag.max(axis=1, out=out[c0 : c0 + step])
+    return out if piece == size else out.reshape(-1, size // piece).max(axis=1)
 
 
 def _dense_maxima(s: np.ndarray, lo: int, hi: int, alpha: float) -> np.ndarray:
@@ -285,9 +338,12 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
     segment of its remaining lags (``_lag_segments``), each start block of
     each row is bounded from the block extrema (``_block_bounds``).  A
     block whose bound lies strictly below its row's ``best`` holds no pair
-    that reaches it, and is skipped.  The other blocks are scanned exactly;
-    when they are more than half of the segment, the segment is swept
-    densely lag by lag instead.  Once in every row the oscillation envelope
+    that reaches it, and is skipped.  The other blocks are scanned exactly
+    (``_block_maxima``): lag by lag over (starts, blocks) slabs with the
+    blocks on the fast axis when they are at least as many as the
+    segment's lags, else as one (blocks, starts, lags) array; when they are
+    more than half of the segment, the segment is swept densely lag by lag
+    instead.  Once in every row the oscillation envelope
     ``(max S - min S) / lo**alpha`` falls strictly below ``best``, no later
     lag can reach it, and the sweep stops.
     """
@@ -322,11 +378,8 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
                 elif survivors:
                     size = _BASE << level
                     rows, blocks = np.nonzero(keep)
-                    scales = _scales(lo, hi, alpha)
-                    for r, _, diff in _block_differences(s, rows, blocks * size, size, lo, hi):
-                        per_lag = diff.max(axis=1)
-                        per_lag /= scales
-                        np.maximum.at(best, r, per_lag.max(axis=1))
+                    maxima = _block_maxima(s, rows, blocks * size, size, lo, hi, alpha)
+                    np.maximum.at(best, rows, maxima)
             done = w
         out[k] = best
     return out
@@ -336,29 +389,31 @@ def _first_pair(s: np.ndarray, alpha: float, window: int, value: float) -> tuple
     """Lexicographically smallest pair (i, j), 1 <= j - i <= window, whose
     quotient equals ``value``, the path's windowed maximum.
 
-    A pair attaining the maximum lies in a start block whose bound reaches
-    it, so only those blocks are scanned; every quotient is >= 0, so a
-    maximum of 0 is attained first by (0, 1).
+    Per lag segment, a pair attaining the maximum lies in a start block
+    whose bound reaches it and whose exact block maximum equals it; the
+    first such block holding a pair with j <= n is searched pair by pair.
+    Every quotient is >= 0, so a maximum of 0 is attained first by (0, 1).
     """
     if value == 0.0:
         return 0, 1
     n = s.size - 1
-    s = s[None, :]
-    pyramid = _extrema_pyramid(s, _block_size(window))
+    pyramid = _extrema_pyramid(s[None, :], _block_size(window))
     first = (n + 1) ** 2  # pairs keyed by i * (n + 1) + j
     for lo, hi, level in _lag_segments(1, window):
         size = _BASE << level
         blocks = np.flatnonzero(_block_bounds(pyramid, level, lo, n, alpha)[0] >= value)
         if blocks.size == 0:
             continue
+        maxima = _block_maxima(s[None, :], np.zeros_like(blocks), blocks * size, size, lo, hi, alpha)
         scales = _scales(lo, hi, alpha)
-        for _, a, diff in _block_differences(s, np.zeros_like(blocks), blocks * size, size, lo, hi):
-            c, p, t = np.nonzero(diff / scales == value)
-            i = a[c] + p
-            j = i + lo + t
-            keys = (i * (n + 1) + j)[j <= n]
-            if keys.size:
-                first = min(first, int(keys.min()))
+        for a in blocks[maxima == value] * size:
+            i = np.arange(a, min(a + size, n))[:, None]
+            j = i + np.arange(lo, hi + 1)
+            hit = (np.abs(s[np.minimum(j, n)] - s[i]) / scales == value) & (j <= n)
+            if hit.any():
+                p, t = np.argwhere(hit)[0]  # row-major: the smallest i, then j
+                first = min(first, int(i[p, 0] * (n + 1) + j[p, t]))
+                break
     return divmod(first, n + 1)
 
 

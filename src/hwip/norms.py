@@ -235,6 +235,22 @@ def _lp_norm_of(model: ProcessModel, fn, p: float, mc_samples: int, seed: int, l
         return norm, se_norm
 
 
+def require_variant(model: ProcessModel, variant: str) -> None:
+    """Raise ``CapabilityError`` unless ``mw_norm`` can take the ``variant``
+    norm of the model's increments."""
+    if model.chain is not None:
+        if variant != "adapted":
+            raise CapabilityError("the renewal chain exposes only the adapted oracle")
+        return
+    f = model.increment_fn
+    if f is None:
+        raise CapabilityError(f"model kind {model.kind!r} exposes no oracle")
+    if variant == "adapted" and not model.has_PT_adapted:
+        raise CapabilityError("model increments are not past-measurable")
+    if variant == "nonadapted" and not f.condexp_past(0).is_zero:
+        raise CapabilityError("nonadapted norm requires E[f | past] = 0")
+
+
 def mw_norm(
     model: ProcessModel,
     variant: str,
@@ -251,19 +267,8 @@ def mw_norm(
     """
     if J < 0:
         raise ValueError("J must be >= 0")
-    if model.chain is not None and variant != "adapted":
-        raise CapabilityError("the renewal chain exposes only the adapted oracle")
-    if model.chain is None:
-        f = model.increment_fn
-        if f is None:
-            raise CapabilityError(f"model kind {model.kind!r} exposes no oracle")
-        if variant == "adapted" and not model.has_PT_adapted:
-            raise CapabilityError("model increments are not past-measurable")
-        if variant == "nonadapted" and not f.condexp_past(0).is_zero:
-            raise CapabilityError("nonadapted norm requires E[f | past] = 0")
-        oracle = None
-    else:
-        oracle = ChainOracle(model.chain)
+    require_variant(model, variant)
+    oracle = None if model.chain is None else ChainOracle(model.chain)
 
     # V_{2^j} f stabilizes once P^i f vanishes: the norm of the last V_n is
     # taken at the first level 2^j beyond it, which keys its Monte Carlo

@@ -134,6 +134,18 @@ class TestConfigHandling:
             ("martingale", "n_grid", [0, 64]),
             ("fdd", "n", 0),
             ("tightness", "depth", 1),
+            # non-finite numbers (JSON's NaN and Infinity)
+            ("fdd", "ks_threshold", float("nan")),
+            ("tightness", "epsilon", float("inf")),
+            ("fdd", "time_grid", [0.5, float("nan")]),
+            # ranges
+            ("tightness", "epsilon", -1),
+            ("tightness", "epsilon", 0),
+            ("tightness", "delta_grid", [0.5, 0.0]),
+            ("tightness", "delta_grid", [1.5, 0.5]),
+            ("tightness", "delta_grid", [0.0625, 0.25]),  # increasing
+            ("fdd", "time_grid", [2.0]),
+            ("fdd", "time_grid", [0.0, 0.5]),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -141,7 +153,9 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({key: value}))
         code = run(["certify", "--suite", suite, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert f"configuration error: {key}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error: {key}:" in err
+        assert "Traceback" not in err
 
 
     @pytest.mark.parametrize(
@@ -174,6 +188,18 @@ class TestConfigHandling:
             (["norms", "--which", "mw-series"], "N", 1),
             (["counterexample"], "depth", 1),
             (["counterexample"], "replicates", 0),
+            # non-finite numbers, from a flag or from the config
+            (["counterexample", "--delta", "nan"], "delta", 0.1),
+            (["simulate", "--n", "8", "--p", "inf"], "p", 3),
+            (["counterexample"], "delta", float("nan")),
+            (["simulate", "--n", "8"], "p", float("-inf")),
+            (["counterexample"], "p", 10**400),  # beyond the float range
+            # ranges
+            (["counterexample"], "delta", -1),
+            (["counterexample"], "delta", 0),
+            (["counterexample"], "delta", 1.5),
+            # a variant the model does not support (the default renewal chain)
+            (["norms", "--which", "mw-norm"], "variant", "nonadapted"),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -181,7 +207,26 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({key: value}))
         code = run([*argv, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert f"configuration error: {key}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error: {key}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "renewal_chain"},
+            {"kind": "martingale_plus_coboundary", "direction": "backward"},
+        ],
+    )
+    def test_variant_the_model_lacks_names_variant(self, tmp_path, capsys, model):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "variant": "nonadapted"}))
+        code = run(["norms", "--which", "mw-norm", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: variant:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "model, key",

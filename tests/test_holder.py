@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hwip.holder as holder
 from hwip.holder import (
     _BASE,
     PolygonalPath,
@@ -308,6 +309,113 @@ class TestLagProfile:
             windowed_maxima(np.array([[0.0, np.nan, 1.0]]), 0.25, [1])
         with pytest.raises(ValueError):
             windowed_max_batch(np.array([[0.0, 1.0, np.inf]]), 0.25, 2)
+
+
+@st.composite
+def many_rows_st(draw, min_rows=20, max_rows=40, max_n=300):
+    """Partial sums of ``min_rows`` to ``max_rows`` rows, each its own kind
+    (as in ``long_sums_st``, plus a drift, whose maxima sit at long lags):
+    enough start blocks survive per segment to reach the lag-by-lag layout,
+    and the rows' different maxima leave the others to the block layout."""
+    rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = rng.integers(0, 6, size=rows)
+    h = np.empty((rows, n))
+    for r, kind in enumerate(kinds):
+        if kind == 0:
+            h[r] = rng.choice([-1.0, 1.0], size=n)
+        elif kind == 1:
+            h[r] = rng.integers(-3, 4, size=n)
+        elif kind == 2:
+            h[r] = rng.standard_normal(n)
+        elif kind == 3:
+            h[r] = float(rng.integers(-1, 2))
+        elif kind == 4:
+            h[r] = np.where(rng.random(n) < 0.02, 40.0 * rng.standard_normal(n), -0.1)
+        else:
+            h[r] = 1.0 + 0.1 * rng.standard_normal(n)
+    return np.concatenate([np.zeros((rows, 1)), np.cumsum(h, axis=1)], axis=1)
+
+
+def drift_and_noise(rows, n, seed):
+    """Half the rows a random walk, half a drift with noise: the drifting
+    rows keep their long-lag blocks, the others prune them."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((rows, n))
+    h[::2] += 1.0
+    return np.concatenate([np.zeros((rows, 1)), np.cumsum(h, axis=1)], axis=1)
+
+
+class TestBlockScan:
+    """The exact scan of the surviving start blocks, ``_block_maxima``, in
+    both of its layouts: lag by lag over (starts, blocks) slabs when a
+    segment keeps at least as many blocks as it has lags, and one
+    (blocks, starts, lags) array otherwise."""
+
+    @staticmethod
+    def layouts(mp):
+        """Record the name of each layout that scans a segment."""
+        seen = set()
+        for name in ("_maxima_by_lag", "_maxima_by_block"):
+
+            def spy(*args, scan=getattr(holder, name), name=name):
+                seen.add(name)
+                return scan(*args)
+
+            mp.setattr(holder, name, spy)
+        return seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(many_rows_st(), long_sums_st(max_rows=1, max_n=400)),
+        alpha_st,
+        st.sampled_from([16, 40, 100]),
+        st.data(),
+    )
+    def test_small_chunks_match_dense_sweep(self, s, alpha, chunk, data):
+        # Chunks of at most a few blocks (or a few starts of one block), so
+        # each segment's scan crosses chunk boundaries in either layout.
+        windows = data.draw(windows_st(s.shape[1] - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holder, "_CHUNK", chunk)
+            got = windowed_maxima(s, alpha, windows)
+        np.testing.assert_array_equal(got, dense_windowed_maxima(s, alpha, windows))
+
+    def test_both_layouts_run(self):
+        s = drift_and_noise(24, 600, seed=3)
+        for chunk in (holder._CHUNK, 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(holder, "_CHUNK", chunk)
+                seen = self.layouts(mp)
+                got = windowed_maxima(s, 0.25, [600, 37])
+            assert seen == {"_maxima_by_lag", "_maxima_by_block"}
+            np.testing.assert_array_equal(got, dense_windowed_maxima(s, 0.25, [600, 37]))
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 4095, 4096])
+    def test_full_window_large_blocks(self, n):
+        # Segments of up to 256 lags with blocks of up to 256 starts, in a
+        # pyramid up to 512, which otherwise only the acceptance criteria's
+        # full windows reach.
+        s = drift_and_noise(12, n, seed=n)
+        np.testing.assert_array_equal(
+            windowed_maxima(s, 1 / 6, [n]), dense_windowed_maxima(s, 1 / 6, [n])
+        )
+        np.testing.assert_array_equal(
+            windowed_maxima(s[1:2], 1 / 6, [n]), dense_windowed_maxima(s[1:2], 1 / 6, [n])
+        )
+
+    def test_tie_at_a_long_lag_breaks_lexicographically(self):
+        # Flat for 100 steps, up by 1 for 1024, down by 1 for 1024: the
+        # maximum 1024 ** (1 - alpha) is attained at lag 1024 by (100, 1124)
+        # and (1124, 2148), and by no shorter lag.
+        h = np.concatenate([np.zeros(100), np.ones(1024), -np.ones(1024)])
+        path = PolygonalPath.from_increments(h)
+        alpha = 0.25
+        stat = holder_max_windowed(path, alpha, 1100)
+        assert stat.value == 1024 / 1024**alpha
+        assert stat.argmax == (100, 1124)
+        assert stat.argmax == brute_force_pair_argmax(path.partial_sums, alpha, 1100)
 
 
 class TestNormalizedStatistics:
