@@ -94,17 +94,23 @@ def one_of(choices: tuple[str, ...]):
     return check
 
 
-def list_of(expect, decreasing: bool = False):
+def list_of(expect, decreasing: bool = False, distinct: bool = False):
     """Check for a nonempty list whose every item passes ``expect``; with
-    ``decreasing``, no item may exceed the one before it."""
+    ``decreasing``, no item may exceed the one before it; with ``distinct``,
+    the list holds two items at least and none repeats another (the points
+    of a fitted slope)."""
+    least = 2 if distinct else 1
 
     def check(doc: dict, key: str) -> list:
         value = doc[key]
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{key}: expected a nonempty list, got {value!r}")
+        if not isinstance(value, list) or len(value) < least:
+            what = "a nonempty list" if least == 1 else f"a list of {least} or more items"
+            raise ConfigError(f"{key}: expected {what}, got {value!r}")
         items = [expect({key: item}, key) for item in value]
         if decreasing and sorted(items, reverse=True) != items:
             raise ConfigError(f"{key}: must be decreasing, got {value!r}")
+        if distinct and len(set(items)) < len(items):
+            raise ConfigError(f"{key}: must not repeat an item, got {value!r}")
         return items
 
     return check

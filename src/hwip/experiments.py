@@ -35,7 +35,7 @@ from .models import (
     apply_PT,
     chain_transition,
     renewal_variance_constant,
-    sample_model,
+    sample_batch,
     sample_renewal_path,
 )
 from .norms import empirical_weak_lp, mw_norm
@@ -149,14 +149,6 @@ def _alpha(p: float) -> float:
     return 0.5 - 1.0 / p
 
 
-def batch_increments(model: ProcessModel, n: int, replicates: int, seed: int) -> np.ndarray:
-    """(replicates, n) increment matrix, replicate r from substream(seed, r)."""
-    out = np.empty((replicates, n))
-    for r in range(replicates):
-        out[r] = sample_model(model, n, substream(seed, r))
-    return out
-
-
 def _partial_sums(increments: np.ndarray) -> np.ndarray:
     r, n = increments.shape
     s = np.empty((r, n + 1))
@@ -216,7 +208,7 @@ def certify_dyadic_lemma(
     worst_rel = math.inf
     violations = 0
     for m_idx, model in enumerate(models):
-        h = batch_increments(model, n_max, paths_per_model, seed + m_idx)
+        h = sample_batch(model, n_max, paths_per_model, seed + m_idx)
         for n in grid:
             hn = h[:, :n]
             lhs = windowed_max_batch(_partial_sums(hn), alpha, n)
@@ -270,14 +262,21 @@ def _m_statistics(
     alpha = _alpha(p)
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
-    h = batch_increments(model, n_max, replicates, seed)
+    h = sample_batch(model, n_max, replicates, seed)
     s = _partial_sums(h)
     return {n: windowed_max_batch(np.ascontiguousarray(s[:, : n + 1]), alpha, n) for n in n_grid}
 
 
+def _slope_grid(n_grid: Sequence[int]) -> list[int]:
+    """The n grid of a slope fit, sorted: a fit needs two points at least,
+    and a repeated n would weigh one point twice."""
+    grid = sorted(int(n) for n in n_grid)
+    if len(set(grid)) < max(len(grid), 2):
+        raise ValueError(f"n_grid must hold two or more distinct values, got {list(n_grid)}")
+    return grid
+
+
 def _fit_slope(ns: Sequence[int], ratios: Sequence[float]) -> float:
-    if len(ns) < 2:
-        return 0.0
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(ratios, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
@@ -297,7 +296,7 @@ def certify_martingale_inequality(
     if not _is_mds(model):
         raise CapabilityError(f"model {model.label!r} is not a martingale difference")
     m_norm = model.increment_lp_norm(p)
-    stats_by_n = _m_statistics(model, p, n_grid, replicates, seed)
+    stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
     per_point = []
     ratios = []
     rows = []
@@ -384,8 +383,8 @@ def certify_mw_inequality(
     of the sqrt(n)-scaled path to the dyadic norm of f.
     """
     constants = constants or InequalityConstants(p=p)
-    stats_by_n = _m_statistics(model, p, n_grid, replicates, seed)
     first = _bracket_first_term(model, variant, p)
+    stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
     r_max = max(int(math.ceil(math.log2(n + 1))) for n in stats_by_n)
     norm_report = mw_norm(model, variant, p, J=max(r_max - 1, 12))
     mw_terms = [t for _, t in norm_report.terms]
@@ -450,7 +449,7 @@ def estimate_variance_constant(
     model: ProcessModel, n: int, replicates: int, seed: int
 ) -> tuple[float, float]:
     """eta_hat = Var(S_n) / n with a normal-theory standard error."""
-    h = batch_increments(model, n, replicates, seed)
+    h = sample_batch(model, n, replicates, seed)
     s_n = h.sum(axis=1)
     eta = float(np.var(s_n, ddof=1) / n)
     stderr = eta * math.sqrt(2.0 / max(replicates - 1, 1))
@@ -484,7 +483,7 @@ def fdd_convergence_test(
     time_grid = [float(t) for t in time_grid]
     if any(t <= 0.0 or t > 1.0 for t in time_grid):
         raise ValueError("time_grid must lie in (0, 1]")
-    h = batch_increments(model, n, replicates, seed)
+    h = sample_batch(model, n, replicates, seed)
     s = _partial_sums(h)
     eta_hat = float(np.var(s[:, -1], ddof=1) / n) if eta is None else float(eta)
     eta_se = eta_hat * math.sqrt(2.0 / max(replicates - 1, 1))
@@ -581,12 +580,12 @@ def holder_tightness_diagnostic(
     per_point = []
     sup_by_delta = {d: 0.0 for d in deltas}
     ci_by_delta = {d: (0.0, 0.0) for d in deltas}
+    # One draw at the largest n: each n's paths are its prefixes.
+    n_grid = [int(n) for n in n_grid]
+    s = _partial_sums(sample_batch(model, max(n_grid), replicates, seed))
     for n in n_grid:
-        n = int(n)
-        h = batch_increments(model, n, replicates, seed)
-        s = _partial_sums(h)
         windows = [max(int(math.floor(n * d)), 1) for d in deltas]
-        maxima = windowed_maxima(s, alpha, windows)
+        maxima = windowed_maxima(np.ascontiguousarray(s[:, : n + 1]), alpha, windows)
         for d, w, row in zip(deltas, windows, maxima):
             stat = row * n ** (-1.0 / p)
             k = int(np.sum(stat > epsilon))
@@ -615,7 +614,7 @@ def holder_tightness_diagnostic(
         config={
             "model": model.label,
             "p": p,
-            "n_grid": [int(n) for n in n_grid],
+            "n_grid": n_grid,
             "replicates": replicates,
             "delta_grid": deltas,
             "epsilon": epsilon,

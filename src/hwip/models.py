@@ -38,7 +38,7 @@ from scipy.special import gammaln
 
 from .config import as_given, at_least, expect_number, expect_p, number_or_null, read
 from .errors import CapabilityError, CapacityError, ConfigError
-from .rng import as_generator
+from .rng import as_generator, substreams
 
 __all__ = [
     "InnovationLaw",
@@ -64,6 +64,7 @@ __all__ = [
     "renewal_model",
     "gaussian_contrast_model",
     "sample_model",
+    "sample_batch",
     "apply_PT",
     "semigroup_partial_sums",
 ]
@@ -100,9 +101,12 @@ class InnovationLaw:
         if self.name not in _LAW_NAMES:
             raise ValueError(f"innovation: must be one of {_LAW_NAMES}, got {self.name!r}")
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """``size`` innovations: their sign bits (0 for -1, 1 for +1) for
+        rademacher, which tabulated window functions index directly, and
+        their values otherwise."""
         if self.name == "rademacher":
-            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+            return rng.integers(0, 2, size=size)
         if self.name == "normal":
             return rng.standard_normal(size)
         return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
@@ -205,16 +209,16 @@ class TableFunction:
             raise CapabilityError("tabulated window functions require rademacher innovations")
         return float(np.mean(np.abs(self.table) ** p) ** (1.0 / p))
 
-    def eval_windows(self, eps: np.ndarray, n: int) -> np.ndarray:
-        """Evaluate at times t = 0..n-1 given innovations eps[t + i] for
-        offset lo + i (eps must have length >= n + width - 1)."""
+    def eval_windows(self, bits: np.ndarray, n: int) -> np.ndarray:
+        """Evaluate at times t = 0..n-1 along the last axis, given the sign
+        bits ``bits[..., t + i]`` (integers, 1 for +1) of the innovations at
+        offset lo + i; the last axis must have length >= n + width - 1."""
         if self.width == 0:
-            return np.full(n, float(self.table))
-        flat = self.table.reshape(-1)
-        code = np.zeros(n, dtype=np.int64)
-        for i in range(self.width):
-            code = (code << 1) | (eps[i : i + n] > 0).astype(np.int64)
-        return flat[code]
+            return np.full(bits.shape[:-1] + (n,), float(self.table))
+        code = bits[..., :n]
+        for i in range(1, self.width):
+            code = (code << 1) | bits[..., i : i + n]
+        return self.table.reshape(-1)[code]
 
 
 @dataclass(frozen=True)
@@ -299,13 +303,13 @@ class LinearFunction:
         return TableFunction(lo, table)
 
     def eval_windows(self, eps: np.ndarray, n: int) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros(n)
+        """Evaluate at times t = 0..n-1 along the last axis, given the
+        innovations ``eps[..., t + i]`` at offset lo + i."""
+        out = np.zeros(eps.shape[:-1] + (n,))
         lo = self.lo
-        out = np.zeros(n)
         for o, c in zip(self.offsets, self.coeffs):
             i = o - lo
-            out += c * eps[i : i + n]
+            out += c * eps[..., i : i + n]
         return out
 
 
@@ -440,6 +444,57 @@ def build_renewal_chain(p: float, depth: int) -> RenewalChainSpec:
     )
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice(a, p=p)`` searches, computed as it
+    computes it; its draw is ``cdf.searchsorted(rng.random(size), side="right")``."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+class _RenewalSampler:
+    """Paths of length n of the chain, from its regeneration times.
+
+    Every state equals the distance to the next visit of 0, so it suffices
+    to draw the initial state Y_0 (one uniform, unless given) and the iid
+    return times tau (one uniform each, in batches), by the draws
+    ``Generator.choice`` makes; the two CDFs are computed once.
+    """
+
+    def __init__(self, spec: RenewalChainSpec, n: int):
+        self.n = n
+        self.pi0 = spec.pi0
+        self.start_cdf = _choice_cdf(spec.pi / spec.pi.sum())
+        self.tau_cdf = _choice_cdf(spec.tau_probs)
+        self.taus = spec.tau_values
+        self.batch = max(64, int(1.2 * (n / spec.mean_tau)) + 8)
+
+    def returns(self, rng: np.random.Generator, y0: int | None = None):
+        """Y_0, the gaps between returns to 0 (``y0`` first when y0 >= 1,
+        then the return times) and the returns ``cumsum(gaps)``, drawn until
+        a return lies past n."""
+        if y0 is None:
+            y0 = int(self.start_cdf.searchsorted(rng.random(), side="right"))
+        gaps = [np.array([y0], dtype=np.int64)] if y0 >= 1 else []
+        total = y0
+        while total <= self.n:
+            taus = self.taus[self.tau_cdf.searchsorted(rng.random(self.batch), side="right")]
+            gaps.append(taus)
+            total += int(taus.sum())
+        gaps = np.concatenate(gaps)
+        return y0, gaps, np.cumsum(gaps)
+
+    def increments(self, returns: np.ndarray, out: np.ndarray) -> None:
+        """g(Y_1), ..., g(Y_n) into ``out``: -pi_0, and 1 - pi_0 at each
+        return <= n."""
+        out.fill(-self.pi0)
+        out[returns[: returns.searchsorted(self.n, side="right")] - 1] = 1.0 - self.pi0
+
+    def fill(self, rngs, out: np.ndarray) -> None:
+        for row, rng in zip(out, rngs):
+            self.increments(self.returns(rng)[2], row)
+
+
 def sample_renewal_path(
     spec: RenewalChainSpec,
     length: int,
@@ -449,44 +504,28 @@ def sample_renewal_path(
     """Sample (Y_0, ..., Y_length) and the increments (g(Y_1), ..., g(Y_length)).
 
     Y_0 is drawn from the stationary law unless ``start_state`` is given.
-    The path is reconstructed from its regeneration times: every state
-    equals the distance to the next visit of 0, so it suffices to draw the
-    initial state and the iid return times.  With the gaps between
-    returns (``y0`` first when ``y0 >= 1``, then the return times tau) and
-    the returns ``r = cumsum(gaps)``, the times t in (r_{i-1}, r_i] all
-    wait for r_i, so ``Y_t = r_i - t`` there: ``Y_1, ..., Y_length`` is
-    ``repeat(r, gaps)`` minus ``1, ..., length``, cut after the first
-    return that reaches ``length``.
+    The path is rebuilt from its regeneration times (``_RenewalSampler``):
+    with the gaps between returns and the returns ``r = cumsum(gaps)``, the
+    times t in (r_{i-1}, r_i] all wait for r_i, so ``Y_t = r_i - t`` there:
+    ``Y_1, ..., Y_length`` is ``repeat(r, gaps)`` minus ``1, ..., length``,
+    cut after the first return that reaches ``length``.
     """
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = as_generator(seed)
-    if start_state is None:
-        y0 = int(rng.choice(spec.n_states, p=spec.pi / spec.pi.sum()))
-    else:
-        y0 = int(start_state)
-        if not 0 <= y0 < spec.n_states:
+    if start_state is not None:
+        start_state = int(start_state)
+        if not 0 <= start_state < spec.n_states:
             raise ValueError(f"start_state must lie in [0, {spec.n_states})")
-    values = spec.tau_values
-    probs = spec.tau_probs
-    # Gaps between returns to 0: y0 (if y0 >= 1), then iid tau increments
-    # until the returns reach past the end of the path.
-    blocks = [np.array([y0], dtype=np.int64)] if y0 >= 1 else []
-    total = y0
-    batch = max(64, int(1.2 * (length / spec.mean_tau)) + 8)
-    while total <= length:
-        taus = rng.choice(values, size=batch, p=probs)
-        blocks.append(taus)
-        total += int(taus.sum())
-    gaps = np.concatenate(blocks)
-    returns = np.cumsum(gaps)
+    sampler = _RenewalSampler(spec, length)
+    y0, gaps, returns = sampler.returns(as_generator(seed), start_state)
     k = int(np.searchsorted(returns, length, side="left")) + 1
     states = np.empty(length + 1, dtype=np.int64)
     states[0] = y0
     states[1:] = np.repeat(returns[:k], gaps[:k])[:length]
     states[1:] -= np.arange(1, length + 1)
-    increments = spec.g(states[1:])
+    increments = np.empty(length)
+    sampler.increments(returns, increments)
     return states, increments
 
 
@@ -780,19 +819,64 @@ def gaussian_contrast_model(spec: RenewalChainSpec) -> ProcessModel:
     )
 
 
-def sample_model(model: ProcessModel, n: int, seed) -> np.ndarray:
-    """Draw one stationary increment path of length n (reproducible per seed)."""
+#: Innovations drawn per chunk of rows by the window sampler: a chunk's
+#: draws and its evaluation are the only arrays beside the output.  At
+#: 2^16, ``certify --suite all`` peaked 1 MB higher than per-row sampling
+#: (its 512 KiB chunk arrays grow the heap); 2^14 is as fast and peaks no higher.
+_CHUNK = 1 << 14
+
+
+class _WindowSampler:
+    """Paths of length n of a window function of iid innovations: each row
+    draws ``law.draw(rng, n + hi - lo)`` from its own generator, and a chunk
+    of rows is evaluated at once."""
+
+    def __init__(self, fn: TableFunction | LinearFunction, law: InnovationLaw, n: int):
+        if law.name == "rademacher" and isinstance(fn, LinearFunction):
+            fn = fn.to_table()  # it reads sign bits; the same sums, in the same order
+        lo, hi = _window_span(fn)
+        self.fn, self.law, self.n, self.size = fn, law, n, n + (hi - lo)
+
+    def fill(self, rngs, out: np.ndarray) -> None:
+        rows = max(1, _CHUNK // self.size)
+        for start in range(0, len(out), rows):
+            block = out[start : start + rows]
+            draws = np.array([self.law.draw(rng, self.size) for _, rng in zip(block, rngs)])
+            block[...] = self.fn.eval_windows(draws, self.n)
+
+
+def _sampler(model: ProcessModel, n: int) -> _RenewalSampler | _WindowSampler:
+    """The model's constants for paths of length n, set up once.  Its
+    ``fill(rngs, out)`` draws row i of ``out`` from the i-th generator of
+    ``rngs``, each before the next generator is taken."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
     if model.chain is not None:
-        _, increments = sample_renewal_path(model.chain, n, rng)
-        return increments
-    fn = model.increment_fn
-    lo, hi = _window_span(fn)
-    eps = model.innovation.sample(rng, n + (hi - lo))
-    return fn.eval_windows(eps, n)
+        return _RenewalSampler(model.chain, n)
+    return _WindowSampler(model.increment_fn, model.innovation, n)
+
+
+def sample_model(model: ProcessModel, n: int, seed) -> np.ndarray:
+    """Draw one stationary increment path of length n (reproducible per seed)."""
+    sampler = _sampler(model, n)
+    out = np.empty((1, sampler.n))
+    sampler.fill([as_generator(seed)], out)
+    return out[0]
+
+
+def sample_batch(model: ProcessModel, n: int, replicates: int, seed: int) -> np.ndarray:
+    """(replicates, n) increment matrix whose row r is, bit for bit,
+    ``sample_model(model, n, substream(seed, r))``.
+
+    The rows come from one re-keyed generator (``substreams``), the model's
+    constants are set up once, and the window kinds draw and evaluate a
+    chunk of rows at a time, so the result is the only full-size array.
+    """
+    sampler = _sampler(model, n)
+    out = np.empty((replicates, sampler.n))
+    sampler.fill(substreams(seed, replicates), out)
+    return out
 
 
 def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):

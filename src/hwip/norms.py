@@ -225,7 +225,7 @@ def _lp_norm_of(model: ProcessModel, fn, p: float, mc_samples: int, seed: int, l
         rng = substream(seed, level)
         lo = fn.lo if fn.width else 0
         hi = fn.hi if fn.width else 0
-        eps = model.innovation.sample(rng, mc_samples + (hi - lo))
+        eps = model.innovation.draw(rng, mc_samples + (hi - lo))
         vals = np.abs(fn.eval_windows(eps, mc_samples)) ** p
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0

@@ -123,16 +123,19 @@ def mc_conditional_sums(
     return means, stderr
 
 
-def stepped_renewal_path(spec: RenewalChainSpec, length: int, seed: int, start_state=None):
+def stepped_renewal_path(
+    spec: RenewalChainSpec, length: int, seed: int, start_state=None, index: int = 0
+):
     """(Y_0, ..., Y_length) and (g(Y_1), ..., g(Y_length)) by stepping the
     chain in plain Python: Y_{t+1} = Y_t - 1, or tau - 1 when Y_t = 0.
 
-    Y_0 and the return times tau come from ``substream(seed)`` in the order
-    and batch sizes of ``sample_renewal_path`` (Y_0 first, then batches of
-    taus), so the two paths must agree bit for bit; a batch is drawn only
-    when a return needs a tau the earlier batches did not hold.
+    Y_0 and the return times tau come from ``substream(seed, index)`` by
+    ``Generator.choice``, in the order and batch sizes of
+    ``sample_renewal_path`` (Y_0 first, then batches of taus), so the two
+    paths must agree bit for bit; a batch is drawn only when a return needs
+    a tau the earlier batches did not hold.
     """
-    rng = substream(seed)
+    rng = substream(seed, index)
     if start_state is None:
         y = int(rng.choice(spec.n_states, p=spec.pi / spec.pi.sum()))
     else:

@@ -146,6 +146,13 @@ class TestConfigHandling:
             ("tightness", "delta_grid", [0.0625, 0.25]),  # increasing
             ("fdd", "time_grid", [2.0]),
             ("fdd", "time_grid", [0.0, 0.5]),
+            # a slope needs two distinct n
+            ("martingale", "n_grid", [64]),
+            ("martingale", "n_grid", [64, 64]),
+            ("martingale", "n_grid", [256, 64, 64]),
+            ("mw", "n_grid", [64]),
+            ("mw", "n_grid", [64, 64]),
+            ("mw", "n_grid", [256, 64, 64]),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):

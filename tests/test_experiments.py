@@ -110,9 +110,17 @@ class TestMartingaleInequality:
             assert 0.5 < pa["ratio"] / pb["ratio"] < 2.0
 
     def test_replicate_csv_rows(self):
-        rep = certify_martingale_inequality(mds_model("rademacher"), 4.0, [16], 5, seed=2)
+        rep = certify_martingale_inequality(mds_model("rademacher"), 4.0, [16, 32], 5, seed=2)
         assert rep.replicate_columns == ("n", "replicate", "holder_max")
-        assert len(rep.replicate_rows) == 5
+        assert len(rep.replicate_rows) == 10
+
+    @pytest.mark.parametrize("grid", [[64], [64, 64], [256, 64, 64]])
+    def test_slope_grid_needs_two_distinct_n(self, grid):
+        model = mds_model("rademacher")
+        with pytest.raises(ValueError, match="n_grid"):
+            certify_martingale_inequality(model, 4.0, grid, 5, seed=2)
+        with pytest.raises(ValueError, match="n_grid"):
+            certify_mw_inequality(model, "adapted", 4.0, grid, 5, seed=2)
 
 
 class TestMwInequality:

@@ -31,6 +31,7 @@ from hwip.models import (
     model_from_dict,
     renewal_model,
     renewal_variance_constant,
+    sample_batch,
     sample_model,
     sample_renewal_path,
     semigroup_partial_sums,
@@ -306,9 +307,10 @@ class TestWindowFunctions:
         g = LinearFunction((-1,), (2.0,)).to_table()
         h = f + g
         assert (h.lo, h.hi) == (-1, 0)
-        # evaluate on all four sign patterns
-        eps = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])
-        vals = h.eval_windows(eps, 4)
+        # evaluate on all four sign patterns, given as sign bits
+        bits = np.array([0, 1, 0, 1, 1])
+        eps = 2.0 * bits - 1.0
+        vals = h.eval_windows(bits, 4)
         expected = 2.0 * eps[:4] + eps[1:5]
         np.testing.assert_allclose(vals, expected)
 
@@ -424,7 +426,7 @@ class TestSampleModel:
     def test_linear_process_window(self):
         model = linear_process_model([1.0, 0.5, 0.25], "normal")
         rng = substream(5, 0)
-        eps = model.innovation.sample(rng, 10 + 2)
+        eps = model.innovation.draw(rng, 10 + 2)
         manual = np.array([eps[t + 2] + 0.5 * eps[t + 1] + 0.25 * eps[t] for t in range(10)])
         np.testing.assert_allclose(sample_model(model, 10, substream(5, 0)), manual, rtol=1e-14)
 
@@ -456,6 +458,97 @@ class TestSampleModel:
             path = sample_model(model, k + 1, substream(404, r))
             x0[r], xk[r] = path[0], path[k]
         assert sstats.ks_2samp(x0, xk).pvalue > 0.01
+
+
+_COEFFS = st.lists(st.sampled_from([1.0, -0.5, 0.25, 0.7, -1.3]), min_size=1, max_size=4)
+_LAWS = st.sampled_from(["rademacher", "normal", "uniform"])
+
+#: A model document of every kind in MODEL_KINDS: tables of width 1 to 5
+#: (rademacher coboundaries and linear processes), linear functions of
+#: normal and uniform innovations, and the renewal chain.
+_MODEL_DOCS = st.one_of(
+    st.builds(
+        lambda law, scale: {"kind": "iid", "innovation": law, "scale": scale},
+        _LAWS, st.sampled_from([1.0, 0.5, 0.0]),
+    ),
+    st.builds(
+        lambda b: {"kind": "martingale_difference", "modulation": b},
+        st.sampled_from([0.0, 0.5, -0.3]),
+    ),
+    st.builds(
+        lambda law: {"kind": "martingale_difference", "innovation": law}, _LAWS
+    ),
+    st.builds(
+        lambda g, law, m, d: {
+            "kind": "martingale_plus_coboundary", "g_coeffs": g, "innovation": law,
+            "mds_part": m, "direction": d,
+        },
+        _COEFFS, _LAWS, st.sampled_from([1.0, 0.5, None]), st.sampled_from(["forward", "backward"]),
+    ),
+    st.builds(
+        lambda a, law: {"kind": "linear_process", "coeffs": a, "innovation": law}, _COEFFS, _LAWS
+    ),
+    st.builds(
+        lambda p, depth: {"kind": "renewal_chain", "p": p, "depth": depth},
+        st.sampled_from([2.5, 3.0, 4.0]), st.integers(min_value=2, max_value=4),
+    ),
+)
+_SEEDS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, 7, 8, 9, 2**63 + 5, 2**64 - 1, -1]),
+)
+
+
+class TestSampleBatch:
+    """sample_batch draws every row from one re-keyed Philox; row r must be
+    sample_model(model, n, substream(seed, r)) bit for bit."""
+
+    # n from 1 up: the draw counts n + width - 1 take both parities, so a
+    # rademacher row may end on half of a 64-bit draw.
+    @settings(max_examples=200, deadline=None)
+    @given(_MODEL_DOCS, st.integers(min_value=1, max_value=300), st.integers(1, 6), _SEEDS)
+    @example({"kind": "iid", "innovation": "rademacher"}, 1, 3, 2**63 + 5)
+    @example({"kind": "iid", "innovation": "rademacher"}, 7, 4, 8)
+    @example({"kind": "martingale_difference", "modulation": 0.5}, 1, 3, -5)
+    @example({"kind": "linear_process", "coeffs": [1.0, 0.5], "innovation": "uniform"}, 1, 3, 9)
+    @example({"kind": "renewal_chain"}, 1, 4, 0)
+    def test_rows_match_sample_model(self, doc, n, replicates, seed):
+        model = model_from_dict(doc)
+        batch = sample_batch(model, n, replicates, seed)
+        assert batch.shape == (replicates, n) and batch.dtype == np.float64
+        for r in range(replicates):
+            row = sample_model(model, n, substream(seed, r))
+            assert batch[r].tobytes() == row.tobytes(), (doc, n, seed, r)
+
+    @pytest.mark.parametrize("p, depth", [(3.0, 4), (2.5, 3), (4.0, 2)])
+    def test_renewal_rows_match_stepping(self, p, depth):
+        # The oracle draws through Generator.choice; sample_batch searches
+        # the CDFs it computes once.
+        spec = build_renewal_chain(p, depth)
+        for n, seed in ((1, 3), (129, 2**63 + 1), (1000, -4)):
+            batch = sample_batch(renewal_model(p, depth), n, 5, seed)
+            for r in range(5):
+                _, ref = stepped_renewal_path(spec, n, seed, index=r)
+                assert batch[r].tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_MODEL_DOCS, st.integers(min_value=1, max_value=400), st.data(), _SEEDS)
+    def test_prefix_of_a_longer_batch(self, doc, n, data, seed):
+        # A path of length k is the first k steps of the path of length n.
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        model = model_from_dict(doc)
+        np.testing.assert_array_equal(sample_batch(model, n, 3, seed)[:, :k],
+                                      sample_batch(model, k, 3, seed))
+
+    def test_rows_cross_chunks(self, monkeypatch):
+        # Several chunks of rows, the last one short.
+        import hwip.models as models
+
+        monkeypatch.setattr(models, "_CHUNK", 50)
+        model = mds_model("rademacher", 0.5)
+        batch = sample_batch(model, 17, 11, 4)
+        for r in range(11):
+            assert batch[r].tobytes() == sample_model(model, 17, substream(4, r)).tobytes()
 
 
 class TestVarianceConstant:

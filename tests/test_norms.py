@@ -165,6 +165,16 @@ class TestMwNorm:
             expected = 2.0 ** (-0.5 * j) * chain_lp_norm(chain_spec, v, 3.0)
             assert value == pytest.approx(expected, rel=1e-11)
 
+    def test_monte_carlo_term_of_uniform_innovations(self):
+        # No exact L^p norm for several uniform innovations: level j draws
+        # from substream(seed, j), and V_1 f = f.
+        model = linear_process_model([1.0, 0.5, 0.25], "uniform")
+        rep = mw_norm(model, "adapted", 3.0, J=0, mc_samples=4001, seed=3)
+        eps = substream(3, 0).uniform(-math.sqrt(3.0), math.sqrt(3.0), size=4003)
+        f = eps[2:] + 0.5 * eps[1:-1] + 0.25 * eps[:-2]
+        assert rep.terms[0][1] == pytest.approx(np.mean(np.abs(f) ** 3.0) ** (1 / 3.0), rel=1e-12)
+        assert rep.stderrs[0] > 0.0
+
     def test_chain_nonadapted_rejected(self):
         with pytest.raises(CapabilityError):
             mw_norm(renewal_model(3.0, 4), "nonadapted", 3.0, J=2)
