@@ -32,14 +32,14 @@ from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
     ProcessModel,
     RenewalChainSpec,
+    _RenewalSampler,
     apply_PT,
     chain_transition,
     renewal_variance_constant,
     sample_batch,
-    sample_renewal_path,
 )
 from .norms import empirical_weak_lp, mw_norm
-from .rng import substream
+from .rng import substreams
 
 __all__ = [
     "InequalityConstants",
@@ -692,7 +692,17 @@ def nontightness_experiment(
     chain by iid Gaussian increments with the chain's variance constant (the
     tight null sharing the same Brownian limit); the theoretical bound is
     chain-specific and omitted there.
+
+    Replicate r draws from ``substream(seed, r)``.  The replicates are
+    sampled ``chunk`` rows at a time into one reused buffer of partial sums:
+    each row's increments are written in place (the chain's from its return
+    times, by the sampler ``sample_batch`` runs; no states are built) and
+    summed in place, so the values do not depend on ``chunk``.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if K <= spec.mean_tau:
         raise ValueError(f"K must exceed the mean return time {spec.mean_tau:.5f}")
     if not 1 <= j_level <= spec.depth:
@@ -716,19 +726,23 @@ def nontightness_experiment(
     window = int(math.floor(n * delta))
     scale = float(length) ** (-1.0 / spec.p)
     sigma = math.sqrt(renewal_variance_constant(spec))
+    sampler = _RenewalSampler(spec, length)
+    rngs = substreams(seed, replicates)
     values = np.empty(replicates)
+    s = np.empty((min(chunk, replicates), length + 1))
+    s[:, 0] = 0.0
     for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        s = np.empty((stop - start, length + 1))
-        for r in range(start, stop):
-            rng = substream(seed, r)
-            if process == "renewal":
-                _, inc = sample_renewal_path(spec, length, rng)
-            else:
-                inc = sigma * rng.standard_normal(length)
-            s[r - start, 0] = 0.0
-            np.cumsum(inc, out=s[r - start, 1:])
-        values[start:stop] = scale * windowed_max_batch(s, alpha, window)
+        block = s[: min(chunk, replicates - start)]
+        steps = block[:, 1:]
+        if process == "renewal":
+            sampler.fill(rngs, steps)
+        else:
+            # Rows first: zip then takes no generator past the chunk's end.
+            for row, rng in zip(steps, rngs):
+                rng.standard_normal(out=row)
+                row *= sigma
+        np.cumsum(steps, axis=1, out=steps)
+        values[start : start + len(block)] = scale * windowed_max_batch(block, alpha, window)
     hits = int(np.sum(values >= threshold))
     prob = hits / replicates
     ci = wilson_interval(hits, replicates)

@@ -426,10 +426,11 @@ def build_renewal_chain(p: float, depth: int) -> RenewalChainSpec:
     return_probs = {int(v): float(q) for v, q in zip(u, probs)}
     mean_tau = float(np.dot(uf, probs))
     pi0 = 1.0 / mean_tau
-    # pi_m = pi_0 * P(tau > m) for m >= 1 (and pi_0 itself at m = 0)
+    # pi_m = pi_0 * P(tau > m) for m >= 1 (and pi_0 itself at m = 0).  The
+    # u_k > m are a suffix of u, so P(tau > m) is one of the suffix sums.
     n_states = u[-1]
-    states = np.arange(n_states)
-    tail = np.array([probs[uf > m].sum() for m in states])
+    suffix = np.array([probs[k:].sum() for k in range(depth + 1)])
+    tail = suffix[np.searchsorted(uf, np.arange(n_states), side="right")]
     pi = pi0 * tail
     pi[0] = pi0
     return RenewalChainSpec(
@@ -446,10 +447,23 @@ def build_renewal_chain(p: float, depth: int) -> RenewalChainSpec:
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
     """The CDF that ``Generator.choice(a, p=p)`` searches, computed as it
-    computes it; its draw is ``cdf.searchsorted(rng.random(size), side="right")``."""
+    computes it; its draw for a uniform u is the index
+    ``cdf.searchsorted(u, side="right")`` (``_cdf_index``)."""
     cdf = np.asarray(p, dtype=float).cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for a sorted ``cdf``: the number
+    of edges ``<= u``, counted by one comparison pass per edge, so tied edges
+    (zero-probability entries) count twice as in the search.  On a CDF of a
+    few entries, such as the return times', and thousands of uniforms, this
+    is several times cheaper than the binary search."""
+    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(cdf.size))
+    for edge in cdf:
+        idx += u >= edge
+    return idx
 
 
 class _RenewalSampler:
@@ -458,7 +472,8 @@ class _RenewalSampler:
     Every state equals the distance to the next visit of 0, so it suffices
     to draw the initial state Y_0 (one uniform, unless given) and the iid
     return times tau (one uniform each, in batches), by the draws
-    ``Generator.choice`` makes; the two CDFs are computed once.
+    ``Generator.choice`` makes: Y_0 by a search of the stationary CDF, the
+    return times by ``_cdf_index`` on theirs.  The two CDFs are computed once.
     """
 
     def __init__(self, spec: RenewalChainSpec, n: int):
@@ -478,7 +493,7 @@ class _RenewalSampler:
         gaps = [np.array([y0], dtype=np.int64)] if y0 >= 1 else []
         total = y0
         while total <= self.n:
-            taus = self.taus[self.tau_cdf.searchsorted(rng.random(self.batch), side="right")]
+            taus = self.taus[_cdf_index(self.tau_cdf, rng.random(self.batch))]
             gaps.append(taus)
             total += int(taus.sum())
         gaps = np.concatenate(gaps)

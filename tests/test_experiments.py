@@ -26,6 +26,7 @@ from hwip.experiments import (
     renewal_identity_check,
     wilson_interval,
 )
+from hwip.holder import windowed_max_batch
 from hwip.models import (
     coboundary_model,
     gaussian_contrast_model,
@@ -35,6 +36,9 @@ from hwip.models import (
     renewal_variance_constant,
     sample_renewal_path,
 )
+from hwip.rng import substream
+
+from conftest import stepped_renewal_path
 
 
 class TestConstants:
@@ -347,6 +351,44 @@ class TestNontightness:
     def test_step_budget(self, chain_spec):
         with pytest.raises(CapacityError, match="simulated steps"):
             nontightness_experiment(chain_spec, K=2, j_level=4, delta=1e-3, replicates=10 ** 7, seed=1)
+
+    @pytest.mark.parametrize("process", ["renewal", "gaussian"])
+    @pytest.mark.parametrize("seed", [5, 2**63 + 1])
+    def test_replicates_match_per_replicate_oracle(self, chain_spec, process, seed):
+        # 11 replicates in chunks of 4: rows 4 and 8 open a chunk and the
+        # last chunk is short, so a stream skipped or reused between chunks
+        # moves a value.  Each replicate is drawn on its own here, the chain
+        # by stepping it, and scanned alone.
+        rep = nontightness_experiment(
+            chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed, chunk=4,
+            process=process,
+        )
+        length, window, threshold = (rep.stats[k] for k in ("path_length", "window", "threshold"))
+        alpha = 0.5 - 1.0 / chain_spec.p
+        scale = float(length) ** (-1.0 / chain_spec.p)
+        sigma = math.sqrt(renewal_variance_constant(chain_spec))
+        expected = []
+        for r in range(11):
+            if process == "renewal":
+                _, inc = stepped_renewal_path(chain_spec, length, seed, index=r)
+            else:
+                inc = sigma * substream(seed, r).standard_normal(length)
+            s = np.concatenate([[0.0], np.cumsum(inc)])
+            value = scale * windowed_max_batch(s[None, :], alpha, window)[0]
+            expected.append((r, float(value), bool(value >= threshold)))
+        assert rep.replicate_rows == expected
+        assert [v.hex() for _, v, _ in rep.replicate_rows] == [v.hex() for _, v, _ in expected]
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"chunk": 0}, "chunk"), ({"chunk": -1}, "chunk"), ({"replicates": 0}, "replicates")],
+    )
+    def test_counts_below_one_rejected(self, chain_spec, kwargs, name):
+        # chunk=-1 used to return uninitialised memory as replicate values,
+        # chunk=0 and replicates=0 to fail deep inside the loop.
+        args = dict(K=2, j_level=3, delta=0.1, replicates=5, seed=1) | kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            nontightness_experiment(chain_spec, **args)
 
     def test_report_reproducible(self, chain_spec):
         a = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=6)

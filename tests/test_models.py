@@ -36,6 +36,7 @@ from hwip.models import (
     sample_renewal_path,
     semigroup_partial_sums,
 )
+from hwip.models import _cdf_index, _choice_cdf
 from hwip.rng import substream
 
 from conftest import brute_force_partial_sum, mc_conditional_sums, stepped_renewal_path
@@ -145,6 +146,45 @@ def _assert_matches_stepping(spec, length, seed, start_state):
     return ref_states
 
 
+#: (p, depth) of one chain at each depth from 2 to 6.
+_CHAINS_BY_DEPTH = [(4.0, 2), (2.5, 3), (3.0, 4), (2.5, 5), (2.01, 6)]
+
+
+class TestCdfIndex:
+    """The return times are looked up by counting the CDF edges <= u; that
+    must be the index ``cdf.searchsorted(u, side="right")`` gives."""
+
+    # Probability vectors with zero entries, so the CDF has tied edges (and a
+    # first edge of 0.0 when p_0 = 0); u is drawn from the edges themselves,
+    # their neighbours, 0.0 and arbitrary points of [0, 1).
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.1, 0.25, 0.5, 1.0, 3.0]),
+                 min_size=1, max_size=9).filter(any),
+        st.data(),
+    )
+    @example([0.0, 1.0, 0.0], None)
+    @example([1.0], None)
+    def test_matches_searchsorted(self, probs, data):
+        cdf = _choice_cdf(np.array(probs))
+        points = [0.0, *cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0)]
+        if data is not None:
+            points += data.draw(st.lists(
+                st.one_of(st.sampled_from(points), st.floats(0.0, 1.0, exclude_max=True)),
+                max_size=20,
+            ))
+        u = np.array(points)
+        idx = _cdf_index(cdf, u)
+        np.testing.assert_array_equal(idx, cdf.searchsorted(u, side="right"))
+        assert _cdf_index(cdf, 0.0) == cdf.searchsorted(0.0, side="right")
+
+    @pytest.mark.parametrize("p, depth", _CHAINS_BY_DEPTH)
+    def test_return_time_cdf(self, p, depth):
+        cdf = _choice_cdf(build_renewal_chain(p, depth).tau_probs)
+        u = np.concatenate([[0.0], cdf, substream(3).random(10000)])
+        np.testing.assert_array_equal(_cdf_index(cdf, u), cdf.searchsorted(u, side="right"))
+
+
 class TestRenewalPathMatchesStepping:
     """sample_renewal_path rebuilds the path from its return gaps; the
     oracle steps the chain one time at a time from the same draws."""
@@ -172,6 +212,18 @@ class TestRenewalPathMatchesStepping:
         if start is not None:
             start = spec.n_states - 1 if start == -1 else start % spec.n_states
         _assert_matches_stepping(spec, length, seed, start)
+
+    # One chain per depth 2-6; a depth-6 chain needs p near 2 to stay
+    # within 2.3M states.  Starts: stationary, 0, the top state of the
+    # second-longest excursion (u_{depth-1} - 1) and the top state.
+    @pytest.mark.parametrize("p, depth", _CHAINS_BY_DEPTH)
+    def test_depths_2_to_6(self, p, depth):
+        spec = build_renewal_chain(p, depth)
+        for length, start, seed in (
+            (1, None, 0), (700, None, 1), (2500, 0, 2),
+            (3000, spec.u[-2] - 1, 3), (50, spec.n_states - 1, 4),
+        ):
+            _assert_matches_stepping(spec, length, seed, start)
 
     def test_every_length_up_to_400(self, chain_spec):
         # Every length, so some paths end exactly on a later return too.
@@ -520,9 +572,9 @@ class TestSampleBatch:
             row = sample_model(model, n, substream(seed, r))
             assert batch[r].tobytes() == row.tobytes(), (doc, n, seed, r)
 
-    @pytest.mark.parametrize("p, depth", [(3.0, 4), (2.5, 3), (4.0, 2)])
+    @pytest.mark.parametrize("p, depth", _CHAINS_BY_DEPTH)
     def test_renewal_rows_match_stepping(self, p, depth):
-        # The oracle draws through Generator.choice; sample_batch searches
+        # The oracle draws through Generator.choice; sample_batch looks up
         # the CDFs it computes once.
         spec = build_renewal_chain(p, depth)
         for n, seed in ((1, 3), (129, 2**63 + 1), (1000, -4)):
