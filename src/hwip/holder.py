@@ -13,10 +13,13 @@ tightness.  Every windowed or full maximum comes from one exact
 branch-and-bound lag sweep, ``windowed_maxima``, for a batch of paths and
 several windows at once: per segment of lags it bounds each block of
 starts from a pyramid of block minima and maxima and scans only the blocks
-whose bound reaches the running maximum.  The surviving blocks of a
-segment are scanned lag by lag over (starts, blocks) slabs, the blocks on
-the fast axis, when there are at least as many of them as lags; fewer are
-scanned as one (blocks, starts, lags) array.  ``holder_max_windowed`` /
+whose bound reaches the running maximum.  A window that covers the whole
+path starts that maximum from the quotient of each row's range pair
+(argmin S, argmax S), often most of the final value, so its bounds prune
+from there.  The surviving blocks of a segment are scanned lag by lag over
+(starts, blocks) slabs, the blocks on the fast axis, when there are at
+least as many of them as lags; fewer are scanned as one (blocks, starts,
+lags) array.  ``holder_max_windowed`` /
 ``holder_max_exact`` read it for one path with its attaining pair,
 ``windowed_max_batch`` for a batch of paths and one window.
 ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
@@ -322,6 +325,16 @@ def _dense_maxima(s: np.ndarray, lo: int, hi: int, alpha: float) -> np.ndarray:
     return out
 
 
+def _range_floor(s: np.ndarray, osc: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row, the quotient of its range pair (argmin S, argmax S): a pair
+    of the full window, whose difference is the oscillation ``osc`` and
+    whose lag d gives the scale ``d ** alpha`` by Python's float power, as
+    in ``_scales``.  So it is the quotient the sweep computes for that pair,
+    and never above the row's maximum.  A constant row (d = 0) gives 0."""
+    lags = np.abs(s.argmax(axis=1) - s.argmin(axis=1)).tolist()
+    return osc / np.array([max(d, 1) ** alpha for d in lags])
+
+
 def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[int]) -> np.ndarray:
     """Windowed vertex maxima of a batch of paths, for several windows: the
     one lag sweep.
@@ -334,7 +347,9 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
 
     Branch and bound.  Windows are taken in increasing order, each
     extending the running maximum ``best`` of the smaller ones.  A window
-    first folds in the exact maxima at its top lag; then, segment by
+    first folds in the exact maxima at its top lag, and a window that
+    covers the path (w = n) the quotient of each row's range pair
+    (``_range_floor``), computed as the sweep computes it; then, segment by
     segment of its remaining lags (``_lag_segments``), each start block of
     each row is bounded from the block extrema (``_block_bounds``).  A
     block whose bound lies strictly below its row's ``best`` holds no pair
@@ -367,6 +382,8 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
         w = tops[k]
         if done < w:
             np.maximum(best, _dense_maxima(s, w, w, alpha), out=best)
+            if w == n:
+                np.maximum(best, _range_floor(s, osc, alpha), out=best)
             for lo, hi, level in _lag_segments(done + 1, w - 1):
                 if (osc / lo ** alpha < best).all():
                     w = n

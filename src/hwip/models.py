@@ -400,6 +400,9 @@ class RenewalChainSpec:
         return self.g(np.arange(self.n_states))
 
     def to_dict(self) -> dict:
+        """The chain's parameters and constants, without the stationary law
+        ``pi``: it has one entry per state (about 230k at p = 3, depth 5),
+        and ``build_renewal_chain(p, depth)`` derives it."""
         return {
             "kind": "renewal_chain",
             "p": self.p,
@@ -409,7 +412,6 @@ class RenewalChainSpec:
             "return_probs": {str(k): v for k, v in self.return_probs.items()},
             "pi0": self.pi0,
             "mean_tau": self.mean_tau,
-            "pi": [float(x) for x in self.pi],
         }
 
 

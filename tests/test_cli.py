@@ -443,6 +443,18 @@ class TestSimulateAndReport:
         assert csv_text[0] == "replicate,t,partial_sum"
         assert len(csv_text) == 1 + 3 * 65
 
+    def test_renewal_report_leaves_out_stationary_law(self, tmp_path):
+        # A depth-5 chain has 230k states; its stationary law, derived from
+        # p and depth, made this report 4.7 MB.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "renewal_chain", "p": 3.0, "depth": 5}}))
+        code = run(["simulate", "--n", "64", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0
+        report = tmp_path / "report_simulate.json"
+        assert report.stat().st_size < 4096
+        chain = json.loads(report.read_text())["config"]["model"]["chain"]
+        assert "pi" not in chain and chain["depth"] == 5
+
     def test_report_aggregates(self, tmp_path):
         run(["certify", "--suite", "dyadic-lemma", "--seed", "7", "--out", str(tmp_path)])
         code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path)])

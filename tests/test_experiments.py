@@ -86,6 +86,25 @@ class TestDyadicLemmaCertificate:
         with pytest.raises(CapacityError):
             certify_dyadic_lemma([iid_model("normal")], 1, 8192, 3.0, seed=1)
 
+    @pytest.mark.parametrize("seed", [7, 2**63 + 5])
+    def test_stacked_models_equal_separate_runs(self, seed):
+        # The models' paths are swept as one batch; each model's points and
+        # the stats must be those of its own run at seed + its index.
+        models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
+        rep = certify_dyadic_lemma(models, 40, 300, 3.0, seed=seed)
+        alone = [certify_dyadic_lemma([m], 40, 300, 3.0, seed=seed + k) for k, m in enumerate(models)]
+        assert json.dumps(rep.per_point) == json.dumps([q for r in alone for q in r.per_point])
+        stats = {
+            "worst_slack": min(r.stats["worst_slack"] for r in alone),
+            "worst_relative_slack": min(r.stats["worst_relative_slack"] for r in alone),
+            "violations": sum(r.stats["violations"] for r in alone),
+        }
+        assert json.dumps(rep.stats) == json.dumps(stats)
+
+    def test_no_models_is_rejected(self):
+        with pytest.raises(ValueError, match="models"):
+            certify_dyadic_lemma([], 2, 8, 3.0, seed=1)
+
     def test_report_is_deterministic(self):
         models = [mds_model("rademacher")]
         a = certify_dyadic_lemma(models, 20, 64, 3.0, seed=3).to_json()

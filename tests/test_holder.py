@@ -312,6 +312,81 @@ class TestLagProfile:
 
 
 @st.composite
+def floor_sums_st(draw, max_rows=4, max_n=300):
+    """Partial sums (rows, n + 1), n = 1 and odd lengths included, each row
+    of its own kind: a walk turned so that its first maximum comes before
+    its first minimum, a constant row (argmin = argmax = 0), a walk of
+    steps in {-1, 0, 1} (tied minima and maxima), a Gaussian walk, or a
+    rise then fall whose plateaus tie the maximum."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 5, 17, 33, 255]), st.integers(1, max_n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = np.arange(n + 1)
+    s = np.zeros((rows, n + 1))
+    for r in range(rows):
+        kind = draw(st.sampled_from(["max_first", "constant", "ties", "gaussian", "plateau"]))
+        if kind in ("max_first", "gaussian"):
+            s[r, 1:] = np.cumsum(rng.standard_normal(n))
+            if kind == "max_first" and s[r].argmax() > s[r].argmin():
+                s[r] = -s[r]
+        elif kind == "ties":
+            s[r, 1:] = np.cumsum(rng.integers(-1, 2, size=n))
+        elif kind == "plateau":
+            top, fall = sorted(rng.integers(0, n + 1, size=2))
+            s[r] = np.minimum(t, top) - np.maximum(t - fall, 0)
+    return s
+
+
+class TestRangeFloor:
+    """A window that covers the whole path starts from the quotient of the
+    range pair (argmin S, argmax S), which the sweep then only raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(floor_sums_st(), alpha_st, st.data())
+    def test_full_window_matches_brute_force(self, s, alpha, data):
+        n = s.shape[1] - 1
+        windows = data.draw(
+            st.lists(st.integers(min_value=n, max_value=n + 3) | edge_window_st, min_size=1, max_size=3)
+        )
+        maxima = windowed_maxima(s, alpha, windows)
+        np.testing.assert_array_equal(maxima, dense_windowed_maxima(s, alpha, windows))
+        for w, row in zip(windows, maxima):
+            for r in range(s.shape[0]):
+                assert row[r] == brute_force_pair_max(s[r], alpha, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(floor_sums_st(), alpha_st)
+    def test_floor_is_the_range_pair_quotient(self, s, alpha):
+        osc = s.max(axis=1) - s.min(axis=1)
+        floor = holder._range_floor(s, osc, alpha)
+        for r, row in enumerate(s):
+            i, j = sorted((int(row.argmin()), int(row.argmax())))
+            assert floor[r] == (abs(row[j] - row[i]) / (j - i) ** alpha if j > i else 0.0)
+            assert floor[r] <= brute_force_pair_max(row, alpha)
+
+    def test_max_before_min(self):
+        # Up 3, then down 5: the range pair (3, 8) has lag 5 and attains
+        # the maximum 5 / 5**alpha, which no shorter lag reaches.
+        s = np.concatenate([[0.0], np.cumsum([1.0] * 3 + [-1.0] * 5)])[None, :]
+        assert windowed_maxima(s, 0.25, [8])[0, 0] == 5 / 5**0.25
+
+    def test_only_full_windows_build_the_floor(self):
+        s = drift_and_noise(6, 257, seed=5)
+        floor, calls = holder._range_floor, []
+
+        def spy(*args):
+            calls.append(args)
+            return floor(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holder, "_range_floor", spy)
+            windowed_maxima(s, 0.25, [1, 37, 256])
+            assert calls == []
+            windowed_maxima(s, 0.25, [37, 257, 300])
+            assert len(calls) == 1
+
+
+@st.composite
 def many_rows_st(draw, min_rows=20, max_rows=40, max_n=300):
     """Partial sums of ``min_rows`` to ``max_rows`` rows, each its own kind
     (as in ``long_sums_st``, plus a drift, whose maxima sit at long lags):

@@ -97,8 +97,10 @@ class TestRenewalChainSpec:
     def test_serialization_carries_derived_constants(self, chain_spec):
         doc = chain_spec.to_dict()
         assert {"c", "pi0", "mean_tau", "u", "return_probs"} <= set(doc)
+        assert "pi" not in doc
         rebuilt = build_renewal_chain(doc["p"], doc["depth"])
         assert rebuilt.c == chain_spec.c
+        np.testing.assert_array_equal(rebuilt.pi, chain_spec.pi)
 
 
 class TestRenewalPath:
