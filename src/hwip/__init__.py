@@ -15,7 +15,6 @@ from .holder import (
     holder_max_exact,
     holder_max_windowed,
     holder_norm_of_path,
-    modulus_restricted,
 )
 from .models import (
     ProcessModel,
@@ -46,11 +45,9 @@ from .norms import (
 )
 from .experiments import (
     CertificationReport,
-    InequalityConstants,
     certify_dyadic_lemma,
     certify_martingale_inequality,
     certify_mw_inequality,
-    estimate_variance_constant,
     fdd_convergence_test,
     holder_norm_distribution_ks,
     holder_tightness_diagnostic,

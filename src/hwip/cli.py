@@ -360,8 +360,15 @@ def _cmd_report(args, config: dict, out: Path) -> int:
     lines = []
     all_pass = True
     for f in files:
-        doc = json.loads(f.read_text())
-        passed = bool(doc.get("passed", False))
+        try:
+            doc = json.loads(f.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"input: {f}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"input: {f}: top-level document must be an object")
+        passed = doc.get("passed", False)
+        if not isinstance(passed, bool):
+            raise ConfigError(f"input: {f}: passed: expected true or false, got {passed!r}")
         all_pass = all_pass and passed
         lines.append(f"== {f.name} ==")
         lines.append(render_summary(doc))

@@ -42,13 +42,11 @@ from .norms import empirical_weak_lp, mw_norm
 from .rng import substreams
 
 __all__ = [
-    "InequalityConstants",
     "CertificationReport",
     "wilson_interval",
     "certify_dyadic_lemma",
     "certify_martingale_inequality",
     "certify_mw_inequality",
-    "estimate_variance_constant",
     "fdd_convergence_test",
     "holder_norm_distribution_ks",
     "holder_tightness_diagnostic",
@@ -63,28 +61,19 @@ STEP_BUDGET = 1 << 31
 EXACT_CONVOLUTION_LIMIT = 1 << 12
 
 
-@dataclass(frozen=True)
-class InequalityConstants:
-    """Constants entering the maximal-inequality bracket.
+#: The power-bound constant K(P_T) of the semigroup; 2 covers every
+#: shipped oracle.
+_K_OF_PT = 2.0
 
-    ``K_p = 2^(1/p - 1/2) + 2^(1/2) * (2 + K(P_T))`` with the power-bound
-    constant K(P_T) of the semigroup (2 covers every shipped oracle).  The
-    outer constant C_p is not available numerically, hence certifications
-    report ratio boundedness only.
-    """
 
-    p: float
-    K_of_PT: float = 2.0
-
-    def __post_init__(self):
-        if not self.p > 2.0:
-            raise ValueError("p must exceed 2")
-        if self.K_of_PT < 1.0:
-            raise ValueError("K_of_PT must be >= 1")
-
-    @property
-    def K_p(self) -> float:
-        return 2.0 ** (1.0 / self.p - 0.5) + math.sqrt(2.0) * (2.0 + self.K_of_PT)
+def _K_p(p: float) -> float:
+    """``K_p = 2^(1/p - 1/2) + 2^(1/2) * (2 + K(P_T))``, the constant in
+    front of the dyadic sum of the maximal-inequality bracket.  The outer
+    constant C_p is not available numerically, hence certifications report
+    ratio boundedness only."""
+    if not p > 2.0:
+        raise ValueError("p must exceed 2")
+    return 2.0 ** (1.0 / p - 0.5) + math.sqrt(2.0) * (2.0 + _K_OF_PT)
 
 
 @dataclass
@@ -132,8 +121,9 @@ class CertificationReport:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval (z = 1.96) for a binomial proportion."""
+    z = 1.96
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
@@ -381,7 +371,6 @@ def certify_mw_inequality(
     replicates: int,
     seed: int,
     slope_bounds: tuple[float, float] = (-0.5, 0.02),
-    constants: InequalityConstants | None = None,
 ) -> CertificationReport:
     """Boundedness of the semigroup maximal inequality
 
@@ -391,7 +380,7 @@ def certify_mw_inequality(
     with r = ceil(log2(n+1)), plus the corollary ratio of the Hölder norm
     of the sqrt(n)-scaled path to the dyadic norm of f.
     """
-    constants = constants or InequalityConstants(p=p)
+    k_p = _K_p(p)
     first = _bracket_first_term(model, variant, p)
     stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
     r_max = max(int(math.ceil(math.log2(n + 1))) for n in stats_by_n)
@@ -404,7 +393,7 @@ def certify_mw_inequality(
     rows = []
     for n, values in stats_by_n.items():
         r = int(math.ceil(math.log2(n + 1)))
-        bracket = first + constants.K_p * sum(mw_terms[:r])
+        bracket = first + k_p * sum(mw_terms[:r])
         est = empirical_weak_lp(values, p)
         ratio = est.root / (n ** (1.0 / p) * bracket)
         corollary = (n ** (-1.0 / p) * est.root) / mw_total if mw_total > 0 else 0.0
@@ -424,7 +413,7 @@ def certify_mw_inequality(
     stats = {
         "slope": slope,
         "max_ratio": max(ratios),
-        "K_p": constants.K_p,
+        "K_p": k_p,
         "bracket_first_term": first,
         "mw_norm_value": mw_total,
         "max_corollary_ratio": max(pp["corollary_ratio"] for pp in per_point),
@@ -439,7 +428,7 @@ def certify_mw_inequality(
             "replicates": replicates,
             "seed": seed,
             "slope_bounds": list(slope_bounds),
-            "K_of_PT": constants.K_of_PT,
+            "K_of_PT": _K_OF_PT,
         },
         verdict="bounded ratios" if passed else "ratio drift detected",
         passed=passed,
@@ -452,17 +441,6 @@ def certify_mw_inequality(
 # ---------------------------------------------------------------------------
 # Invariance-principle diagnostics
 # ---------------------------------------------------------------------------
-
-
-def estimate_variance_constant(
-    model: ProcessModel, n: int, replicates: int, seed: int
-) -> tuple[float, float]:
-    """eta_hat = Var(S_n) / n with a normal-theory standard error."""
-    h = sample_batch(model, n, replicates, seed)
-    s_n = h.sum(axis=1)
-    eta = float(np.var(s_n, ddof=1) / n)
-    stderr = eta * math.sqrt(2.0 / max(replicates - 1, 1))
-    return eta, stderr
 
 
 def _ks_distance_to_normal(values: np.ndarray, scale: float) -> float:

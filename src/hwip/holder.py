@@ -19,9 +19,8 @@ path starts that maximum from the quotient of each row's range pair
 from there.  The surviving blocks of a segment are scanned lag by lag over
 (starts, blocks) slabs, the blocks on the fast axis, when there are at
 least as many of them as lags; fewer are scanned as one (blocks, starts,
-lags) array.  ``holder_max_windowed`` /
-``holder_max_exact`` read it for one path with its attaining pair,
-``windowed_max_batch`` for a batch of paths and one window.
+lags) array.  ``holder_max_windowed`` / ``holder_max_exact`` read it for
+one path, ``windowed_max_batch`` for a batch of paths and one window.
 ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
 sandwich the exact value.
 """
@@ -40,7 +39,6 @@ __all__ = [
     "holder_max_exact",
     "holder_max_windowed",
     "holder_norm_of_path",
-    "modulus_restricted",
     "dyadic_upper",
     "dyadic_lower",
     "windowed_max_batch",
@@ -50,11 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolygonalPath:
-    """Partial sums ``S_0 .. S_n`` with the linear-interpolation rule.
-
-    ``evaluate(t)`` for t in [0, 1] returns
-    ``S_[nt] + (nt - [nt]) * (S_[nt]+1 - S_[nt])`` with ``evaluate(1) = S_n``.
-    """
+    """Partial sums ``S_0 .. S_n`` of a polygonal path, its vertices."""
 
     partial_sums: np.ndarray
 
@@ -82,17 +76,6 @@ class PolygonalPath:
     def increments(self) -> np.ndarray:
         return np.diff(self.partial_sums)
 
-    def evaluate(self, t) -> np.ndarray:
-        """Piecewise-linear interpolation of the partial sums on [0, 1]."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise ValueError("t must lie in [0, 1]")
-        nt = self.n * t
-        k = np.minimum(np.floor(nt).astype(int), self.n - 1)
-        frac = nt - k
-        s = self.partial_sums
-        return s[k] + frac * (s[k + 1] - s[k])
-
 
 @dataclass(frozen=True)
 class HolderStatistic:
@@ -101,17 +84,6 @@ class HolderStatistic:
     value: float
     method: str  # exact_pairs | windowed | dyadic_upper | dyadic_lower
     alpha: float
-    argmax: tuple[int, int] | None = None
-
-    def to_dict(self) -> dict:
-        i, j = self.argmax if self.argmax is not None else (None, None)
-        return {
-            "value": self.value,
-            "method": self.method,
-            "alpha": self.alpha,
-            "argmax_i": i,
-            "argmax_j": j,
-        }
 
 
 def _check_alpha(alpha: float) -> float:
@@ -402,52 +374,13 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
     return out
 
 
-def _first_pair(s: np.ndarray, alpha: float, window: int, value: float) -> tuple[int, int]:
-    """Lexicographically smallest pair (i, j), 1 <= j - i <= window, whose
-    quotient equals ``value``, the path's windowed maximum.
-
-    Per lag segment, a pair attaining the maximum lies in a start block
-    whose bound reaches it and whose exact block maximum equals it; the
-    first such block holding a pair with j <= n is searched pair by pair.
-    Every quotient is >= 0, so a maximum of 0 is attained first by (0, 1).
-    """
-    if value == 0.0:
-        return 0, 1
-    n = s.size - 1
-    pyramid = _extrema_pyramid(s[None, :], _block_size(window))
-    first = (n + 1) ** 2  # pairs keyed by i * (n + 1) + j
-    for lo, hi, level in _lag_segments(1, window):
-        size = _BASE << level
-        blocks = np.flatnonzero(_block_bounds(pyramid, level, lo, n, alpha)[0] >= value)
-        if blocks.size == 0:
-            continue
-        maxima = _block_maxima(s[None, :], np.zeros_like(blocks), blocks * size, size, lo, hi, alpha)
-        scales = _scales(lo, hi, alpha)
-        for a in blocks[maxima == value] * size:
-            i = np.arange(a, min(a + size, n))[:, None]
-            j = i + np.arange(lo, hi + 1)
-            hit = (np.abs(s[np.minimum(j, n)] - s[i]) / scales == value) & (j <= n)
-            if hit.any():
-                p, t = np.argwhere(hit)[0]  # row-major: the smallest i, then j
-                first = min(first, int(i[p, 0] * (n + 1) + j[p, t]))
-                break
-    return divmod(first, n + 1)
-
-
 def holder_max_windowed(path: PolygonalPath, alpha: float, max_lag: int) -> HolderStatistic:
-    """Maximum of |S_j - S_i| / (j-i)^alpha over pairs with 1 <= j-i <= max_lag.
-
-    The value is the path's ``windowed_maxima``.  Ties are broken toward
-    the smallest (i, j) in lexicographic order, among the pairs in the
-    start blocks whose bound reaches the maximum (every other pair lies
-    strictly below it).
-    """
+    """Maximum of |S_j - S_i| / (j-i)^alpha over pairs with 1 <= j-i <= max_lag:
+    the path's ``windowed_maxima``."""
     alpha = _check_alpha(alpha)
-    s = path.partial_sums
-    value = float(windowed_maxima(s[None, :], alpha, [max_lag])[0, 0])
-    i, j = _first_pair(s, alpha, min(int(max_lag), path.n), value)
+    value = float(windowed_maxima(path.partial_sums[None, :], alpha, [max_lag])[0, 0])
     method = "exact_pairs" if max_lag >= path.n else "windowed"
-    return HolderStatistic(value=value, method=method, alpha=float(alpha), argmax=(i, j))
+    return HolderStatistic(value=value, method=method, alpha=alpha)
 
 
 def holder_max_exact(path: PolygonalPath, alpha: float) -> HolderStatistic:
@@ -464,28 +397,6 @@ def holder_norm_of_path(path: PolygonalPath, alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     return float(path.n ** (-alpha) * holder_max_exact(path, alpha).value)
-
-
-def modulus_restricted(path: PolygonalPath, alpha: float, delta: float) -> float:
-    """Vertex-restricted modulus n^(-alpha) * max over pairs with j-i <= n*delta.
-
-    This is a lower bound for the continuous alpha-modulus of the
-    interpolant over time windows shorter than delta, which is the direction
-    needed both for disproving tightness and for a conservative tightness
-    diagnostic.  For delta below one mesh step the maximum collapses to a
-    single segment, where the slope formula ``max|h| * (n*delta)**(1-alpha)``
-    is exact.
-    """
-    alpha = _check_alpha(alpha)
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    n = path.n
-    window = int(np.floor(n * delta))
-    if window < 1:
-        h_max = float(np.max(np.abs(path.increments)))
-        return n ** (-alpha) * h_max * (n * delta) ** (1.0 - alpha)
-    return float(n ** (-alpha) * holder_max_windowed(path, alpha, window).value)
 
 
 def pairwise_coarsen(increments: np.ndarray) -> np.ndarray:
@@ -518,7 +429,7 @@ def dyadic_upper(increments: Iterable[float], alpha: float) -> HolderStatistic:
             break
         level = pairwise_coarsen(level)
         discount *= step
-    return HolderStatistic(value=bound, method="dyadic_upper", alpha=alpha, argmax=None)
+    return HolderStatistic(value=bound, method="dyadic_upper", alpha=alpha)
 
 
 def dyadic_lower(path: PolygonalPath, alpha: float) -> HolderStatistic:
@@ -526,21 +437,12 @@ def dyadic_lower(path: PolygonalPath, alpha: float) -> HolderStatistic:
     of two and i a multiple of d.  Always <= the exact vertex maximum."""
     alpha = _check_alpha(alpha)
     s = path.partial_sums
-    n = path.n
-    best = -1.0
-    best_pair = (0, 1)
+    best = 0.0
     d = 1
-    while d <= n:
-        idx = np.arange(0, n - d + 1, d)
-        diff = np.abs(s[idx + d] - s[idx])
-        k = int(np.argmax(diff))
-        v = float(diff[k]) / d ** alpha
-        pair = (int(idx[k]), int(idx[k]) + d)
-        if v > best or (v == best and pair < best_pair):
-            best = v
-            best_pair = pair
+    while d <= path.n:
+        best = max(best, float(np.abs(s[d::d] - s[:-d:d]).max()) / d ** alpha)
         d *= 2
-    return HolderStatistic(value=best, method="dyadic_lower", alpha=alpha, argmax=best_pair)
+    return HolderStatistic(value=best, method="dyadic_lower", alpha=alpha)
 
 
 def windowed_max_batch(partial_sums: np.ndarray, alpha: float, max_lag: int) -> np.ndarray:

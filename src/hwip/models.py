@@ -174,9 +174,6 @@ class TableFunction:
         axes = tuple(range(self.width - drop, self.width))
         return TableFunction(self.lo, self.table.mean(axis=axes))
 
-    def expectation(self) -> float:
-        return float(self.table.mean())
-
     def _aligned(self, lo: int, hi: int) -> np.ndarray:
         """Broadcast the table to the window lo..hi."""
         width = hi - lo + 1
@@ -200,9 +197,6 @@ class TableFunction:
 
     def __sub__(self, other: "TableFunction") -> "TableFunction":
         return self._binop(other, np.subtract)
-
-    def scaled(self, c: float) -> "TableFunction":
-        return TableFunction(self.lo, c * self.table)
 
     def lp_norm(self, p: float, law: InnovationLaw) -> float:
         if law.name != "rademacher":
@@ -262,9 +256,6 @@ class LinearFunction:
     def condexp_past(self, cutoff: int = 0) -> "LinearFunction":
         kept = [(o, c) for o, c in zip(self.offsets, self.coeffs) if o <= cutoff]
         return LinearFunction(tuple(o for o, _ in kept), tuple(c for _, c in kept))
-
-    def expectation(self) -> float:
-        return 0.0
 
     def __add__(self, other: "LinearFunction") -> "LinearFunction":
         return LinearFunction(self.offsets + other.offsets, self.coeffs + other.coeffs)

@@ -9,14 +9,14 @@ The dyadic norm of an increment function f under a semigroup P is
 
     sum_{j >= 0} 2^(-j/2) * || sum_{i < 2^j} P^i f ||_p ,
 
-computed exactly where the model exposes a closed-form oracle and by Monte
-Carlo otherwise.  A martingale-difference f (P f = 0) collapses every inner
-sum to f itself, so the norm equals (2 + sqrt 2) ||f||_p.
+computed exactly where the model exposes a closed-form oracle; a model
+without one raises ``CapabilityError``.  A martingale-difference f
+(P f = 0) collapses every inner sum to f itself, so the norm equals
+(2 + sqrt 2) ||f||_p.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -31,7 +31,6 @@ from .models import (
     chain_lp_norm,
     semigroup_partial_sums,
 )
-from .rng import substream
 
 __all__ = [
     "WeakLpEstimate",
@@ -62,7 +61,6 @@ class WeakLpEstimate:
     value: float
     p: float
     sample_count: int
-    bootstrap_ci: tuple[float, float] | None = None
 
     @property
     def root(self) -> float:
@@ -82,7 +80,6 @@ class WeakLpEstimate:
             "dual_upper": hi,
             "p": self.p,
             "sample_count": self.sample_count,
-            "bootstrap_ci": list(self.bootstrap_ci) if self.bootstrap_ci else None,
         }
 
 
@@ -100,31 +97,14 @@ def _tail_form(abs_samples: np.ndarray, p: float) -> float:
     return float(np.max(a ** p * ranks / n))
 
 
-def empirical_weak_lp(
-    samples: Sequence[float] | np.ndarray,
-    p: float,
-    bootstrap: int = 0,
-    seed: int = 0,
-) -> WeakLpEstimate:
-    """Estimate the weak-L^p tail functional from samples of |h|.
-
-    With ``bootstrap > 0`` a percentile 95% interval over that many
-    resamples (deterministic in ``seed``) is attached.
-    """
+def empirical_weak_lp(samples: Sequence[float] | np.ndarray, p: float) -> WeakLpEstimate:
+    """Estimate the weak-L^p tail functional from samples of |h|."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     x = np.abs(np.asarray(samples, dtype=float)).ravel()
     if x.size == 0:
         raise ValueError("samples must be nonempty")
-    value = _tail_form(x, p)
-    ci = None
-    if bootstrap > 0:
-        rng = substream(seed, 0)
-        stats = np.empty(bootstrap)
-        for b in range(bootstrap):
-            stats[b] = _tail_form(rng.choice(x, size=x.size, replace=True), p)
-        ci = (float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975)))
-    return WeakLpEstimate(value=value, p=float(p), sample_count=int(x.size), bootstrap_ci=ci)
+    return WeakLpEstimate(value=_tail_form(x, p), p=float(p), sample_count=int(x.size))
 
 
 @dataclass(frozen=True)
@@ -192,7 +172,6 @@ class MwNormReport:
     tail_estimate: float
     variant: str
     p: float
-    stderrs: tuple[float, ...] | None = None
 
     @property
     def value(self) -> float:
@@ -209,30 +188,7 @@ class MwNormReport:
             "converged": self.converged,
             "tail_estimate": self.tail_estimate,
             "value": self.value,
-            "stderrs": list(self.stderrs) if self.stderrs else None,
         }
-
-
-def _lp_norm_of(model: ProcessModel, fn, p: float, mc_samples: int, seed: int, level: int):
-    """Exact norm where the representation allows it, Monte Carlo otherwise."""
-    if model.chain is not None:
-        return chain_lp_norm(model.chain, fn, p), 0.0
-    try:
-        return fn.lp_norm(p, model.innovation), 0.0
-    except CapabilityError:
-        if mc_samples <= 0:
-            raise
-        rng = substream(seed, level)
-        lo = fn.lo if fn.width else 0
-        hi = fn.hi if fn.width else 0
-        eps = model.innovation.draw(rng, mc_samples + (hi - lo))
-        vals = np.abs(fn.eval_windows(eps, mc_samples)) ** p
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-        norm = mean ** (1.0 / p)
-        # delta method for the 1/p-th power
-        se_norm = se / (p * mean ** (1.0 - 1.0 / p)) if mean > 0 else 0.0
-        return norm, se_norm
 
 
 def require_variant(model: ProcessModel, variant: str) -> None:
@@ -251,14 +207,7 @@ def require_variant(model: ProcessModel, variant: str) -> None:
         raise CapabilityError("nonadapted norm requires E[f | past] = 0")
 
 
-def mw_norm(
-    model: ProcessModel,
-    variant: str,
-    p: float,
-    J: int,
-    mc_samples: int = 0,
-    seed: int = 0,
-) -> MwNormReport:
+def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport:
     """Dyadic norm terms of the model's increment function up to level J.
 
     The chain route evaluates V_{2^j} g exactly through the regeneration
@@ -271,27 +220,24 @@ def mw_norm(
     oracle = None if model.chain is None else ChainOracle(model.chain)
 
     # V_{2^j} f stabilizes once P^i f vanishes: the norm of the last V_n is
-    # taken at the first level 2^j beyond it, which keys its Monte Carlo
-    # substream, and reused from there on.
+    # taken at the first level 2^j beyond it and reused from there on.
     terms: list[tuple[int, float]] = []
-    stderrs: list[float] = []
     sums = semigroup_partial_sums(model, variant, model.increment_fn)
     covered = 0
-    stable: tuple[float, float] | None = None
+    stable: float | None = None
     for j in range(J + 1):
         n = 1 << j
         if oracle is not None:
-            norm, se = chain_lp_norm(model.chain, oracle.v_sum(n), p), 0.0
+            norm = chain_lp_norm(model.chain, oracle.v_sum(n), p)
         elif stable is None:
             for v in islice(sums, n - covered):
                 covered += 1
-            norm, se = _lp_norm_of(model, v, p, mc_samples, seed, j)
+            norm = v.lp_norm(p, model.innovation)
             if covered < n:
-                stable = norm, se
+                stable = norm
         else:
-            norm, se = stable
+            norm = stable
         terms.append((j, 2.0 ** (-0.5 * j) * norm))
-        stderrs.append(2.0 ** (-0.5 * j) * se)
     partial = np.cumsum([t for _, t in terms])
     # geometric ratio test on the last levels
     last = terms[-1][1]
@@ -307,7 +253,6 @@ def mw_norm(
         tail_estimate=tail,
         variant=variant,
         p=float(p),
-        stderrs=tuple(stderrs) if any(s > 0 for s in stderrs) else None,
     )
 
 
@@ -361,11 +306,9 @@ def _scale_boundaries(model: ProcessModel, N: int) -> list[int]:
     return bounds
 
 
-def _series_verdict(
-    terms: np.ndarray, boundaries: Sequence[int]
-) -> tuple[tuple[float, ...], str]:
+def _series_verdict(terms: np.ndarray, bounds: list[int]) -> tuple[tuple[float, ...], str]:
     """Ratio test on consecutive blocks terms[b_i .. b_{i+1})."""
-    bounds = list(boundaries) + [terms.size + 1]
+    bounds = bounds + [terms.size + 1]
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         hi = min(hi, terms.size + 1)
@@ -400,7 +343,6 @@ def mw_series_diagnostic(
     p: float,
     a: Sequence[float] | np.ndarray | None,
     N: int,
-    boundaries: Sequence[int] | None = None,
 ) -> SeriesDiagnostic:
     """Evaluate the weighted conditional-sum series up to N.
 
@@ -431,9 +373,7 @@ def mw_series_diagnostic(
     while n <= N:
         rows.append((n, float(terms[n - 1]), float(partial[n - 1])))
         n *= 2
-    if boundaries is None:
-        boundaries = _scale_boundaries(model, N)
-    ratios, verdict = _series_verdict(terms, boundaries)
+    ratios, verdict = _series_verdict(terms, _scale_boundaries(model, N))
     return SeriesDiagnostic(
         rows=tuple(rows),
         block_ratios=ratios,

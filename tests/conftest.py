@@ -40,18 +40,18 @@ def brute_force_pair_max(partial_sums, alpha, max_lag=None):
     return best
 
 
-def brute_force_pair_argmax(partial_sums, alpha, max_lag=None):
-    """Lexicographically smallest pair (i, j) attaining brute_force_pair_max."""
+def brute_force_dyadic_lower(partial_sums, alpha):
+    """max |S_{i+d} - S_i| / d**alpha over the lags d that are powers of two
+    and the starts i that are multiples of d, pair by pair."""
     s = np.asarray(partial_sums, dtype=float)
     n = s.size - 1
-    max_lag = n if max_lag is None else min(max_lag, n)
-    best, best_pair = -1.0, None
-    for i in range(n):
-        for j in range(i + 1, min(i + max_lag, n) + 1):
-            v = abs(s[j] - s[i]) / (j - i) ** alpha
-            if v > best:
-                best, best_pair = v, (i, j)
-    return best_pair
+    best = 0.0
+    d = 1
+    while d <= n:
+        for i in range(0, n - d + 1, d):
+            best = max(best, abs(s[i + d] - s[i]) / d ** alpha)
+        d *= 2
+    return best
 
 
 def dense_windowed_maxima(partial_sums, alpha, windows):
@@ -79,7 +79,7 @@ def grid_modulus(path: PolygonalPath, alpha: float, per_step: int = 8, window_st
     """
     n = path.n
     grid_t = np.arange(n * per_step + 1) / (n * per_step)
-    w = path.evaluate(grid_t)
+    w = np.interp(grid_t * n, np.arange(n + 1), path.partial_sums)
     max_lag = n * per_step if window_steps is None else int(round(window_steps * per_step))
     best = 0.0
     for lag in range(1, max_lag + 1):

@@ -423,6 +423,16 @@ class TestNormsCommand:
         doc = json.loads((tmp_path / "report_mw_norm.json").read_text())
         assert len(doc["report"]["terms"]) == 9
 
+    def test_mw_norm_without_exact_norm_exits_2(self, tmp_path, capsys):
+        # Several uniform innovations have no exact L^p norm.
+        cfg = tmp_path / "cfg.json"
+        model = {"kind": "linear_process", "coeffs": [1.0, 0.5, 0.25], "innovation": "uniform"}
+        cfg.write_text(json.dumps({"model": model}))
+        code = run(["norms", "--which", "mw-norm", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no exact L^p norm" in err and "Traceback" not in err
+
     def test_mw_series_counterexample_weights(self, tmp_path):
         code = run(
             ["norms", "--which", "mw-series", "--p", "3", "--N", "4096",
@@ -472,6 +482,26 @@ class TestSimulateAndReport:
         code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path)])
         assert code == 2
         assert "no report" in capsys.readouterr().err
+
+    def test_report_of_a_non_object_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "report_x.json").write_text("[1, 2]\n")
+        code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "report_x.json" in err and "Traceback" not in err
+
+    def test_report_of_invalid_json_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "report_x.json").write_text('{"passed": tru\n')
+        code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "report_x.json" in capsys.readouterr().err
+
+    def test_report_passed_must_be_a_boolean(self, tmp_path, capsys):
+        (tmp_path / "report_x.json").write_text('{"passed": "no"}\n')
+        code = run(["report", "--input", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "report_x.json" in err and "passed" in err
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -9,7 +9,7 @@ from scipy import stats as sstats
 
 from hwip.errors import CapabilityError, CapacityError
 from hwip.experiments import (
-    InequalityConstants,
+    _K_p,
     _first_passage_exceed_probability,
     _ks_distance_to_normal,
     _ks_distance_two_sample,
@@ -17,7 +17,6 @@ from hwip.experiments import (
     certify_dyadic_lemma,
     certify_martingale_inequality,
     certify_mw_inequality,
-    estimate_variance_constant,
     fdd_convergence_test,
     holder_norm_distribution_ks,
     holder_tightness_diagnostic,
@@ -43,14 +42,14 @@ from conftest import stepped_renewal_path
 
 class TestConstants:
     def test_K_p_formula(self):
-        c = InequalityConstants(p=3.0, K_of_PT=2.0)
-        assert c.K_p == pytest.approx(2.0 ** (1 / 3 - 0.5) + math.sqrt(2.0) * 4.0, rel=1e-14)
+        # K(P_T) = 2
+        assert _K_p(3.0) == pytest.approx(2.0 ** (1 / 3 - 0.5) + math.sqrt(2.0) * 4.0, rel=1e-14)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            InequalityConstants(p=2.0)
-        with pytest.raises(ValueError):
-            InequalityConstants(p=3.0, K_of_PT=0.5)
+        with pytest.raises(ValueError, match="p must exceed 2"):
+            _K_p(2.0)
+        with pytest.raises(ValueError, match="p must exceed 2"):
+            certify_mw_inequality(mds_model("rademacher"), "adapted", 2.0, [16, 32], 5, seed=1)
 
 
 class TestWilson:
@@ -150,10 +149,10 @@ class TestMwInequality:
     def test_mds_bracket_collapses(self):
         p = 4.0
         rep = certify_mw_inequality(mds_model("rademacher"), "adapted", p, [64, 256], 200, seed=9)
-        c = InequalityConstants(p=p)
+        assert rep.stats["K_p"] == _K_p(p)
         for pp in rep.per_point:
             r = math.ceil(math.log2(pp["n"] + 1))
-            expected = 1.0 + c.K_p * sum(2.0 ** (-0.5 * j) for j in range(r))
+            expected = 1.0 + _K_p(p) * sum(2.0 ** (-0.5 * j) for j in range(r))
             assert pp["bracket"] == pytest.approx(expected, rel=1e-12)
         assert rep.passed
 
@@ -184,21 +183,28 @@ class TestMwInequality:
             certify_mw_inequality(renewal_model(3.0, 4), "nonadapted", 3.0, [16], 5, seed=1)
 
 
+def _eta(model, n, replicates, seed):
+    """Var(S_n) / n and its normal-theory standard error, as the fdd run
+    estimates them."""
+    rep = fdd_convergence_test(model, n, replicates, [1.0], seed)
+    return rep["eta_hat"], rep["eta_stderr"]
+
+
 class TestVarianceConstant:
     def test_iid_unit_variance(self):
-        eta, se = estimate_variance_constant(iid_model("normal"), 2048, 600, seed=15)
+        eta, se = _eta(iid_model("normal"), 2048, 600, seed=15)
         assert abs(eta - 1.0) <= 3 * se
 
     def test_coboundary_only_vanishes(self):
         model = coboundary_model([0.7], "rademacher", mds_part=None)
-        eta_small, _ = estimate_variance_constant(model, 64, 400, seed=16)
-        eta_big, _ = estimate_variance_constant(model, 1024, 400, seed=16)
+        eta_small, _ = _eta(model, 64, 400, seed=16)
+        eta_big, _ = _eta(model, 1024, 400, seed=16)
         # telescoping: Var(S_n) bounded, so the estimate decays like 1/n
         assert eta_big < eta_small
         assert eta_big <= 4.0 * (2 * 0.7) ** 2 / 1024
 
     def test_renewal_matches_regeneration_formula(self, chain_spec):
-        eta, se = estimate_variance_constant(renewal_model(3.0, 4), 8192, 600, seed=17)
+        eta, se = _eta(renewal_model(3.0, 4), 8192, 600, seed=17)
         exact = renewal_variance_constant(chain_spec)
         assert abs(eta - exact) <= 5 * se + 0.02 * exact  # small-n bias allowance
 

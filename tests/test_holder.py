@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,14 +17,13 @@ from hwip.holder import (
     holder_max_exact,
     holder_max_windowed,
     holder_norm_of_path,
-    modulus_restricted,
     pairwise_coarsen,
     windowed_max_batch,
     windowed_maxima,
 )
 
 from conftest import (
-    brute_force_pair_argmax,
+    brute_force_dyadic_lower,
     brute_force_pair_max,
     dense_windowed_maxima,
     grid_modulus,
@@ -112,14 +109,6 @@ class TestPolygonalPath:
         np.testing.assert_allclose(p.partial_sums, [0.0, 1.0, -1.0, -0.5])
         np.testing.assert_allclose(p.increments, [1.0, -2.0, 0.5])
 
-    def test_evaluate_vertices_and_interpolation(self):
-        p = path_of(0.0, 1.0, -1.0)
-        t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_allclose(p.evaluate(t), [0.0, 0.5, 1.0, 0.0, -1.0])
-        assert p.evaluate(1.0) == -1.0  # evaluate(1) = S_n
-        with pytest.raises(ValueError):
-            p.evaluate(1.5)
-
 
 class TestExactMax:
     def test_constant_path_is_zero(self):
@@ -128,13 +117,11 @@ class TestExactMax:
     def test_single_increment(self):
         stat = holder_max_exact(path_of(0.0, 1.0), 0.25)
         assert stat.value == 1.0
-        assert stat.argmax == (0, 1)
 
     def test_zigzag(self):
         # candidates: 1 at (0,1), 2 at (1,2), 1/2^0.25 at (0,2)
         stat = holder_max_exact(path_of(0.0, 1.0, -1.0), 0.25)
         assert stat.value == 2.0
-        assert stat.argmax == (1, 2)
         assert stat.method == "exact_pairs"
 
     def test_alpha_validation(self):
@@ -159,16 +146,6 @@ class TestExactMax:
         assume(v1 == 0.0 or v1 >= 1e-280)
         v2 = holder_max_exact(PolygonalPath.from_increments(lam * h), alpha).value
         assert v2 == lam * v1
-
-    def test_argmax_tie_breaks_lexicographically(self):
-        # (0,1) and (1,2) both attain 1 at lag 1
-        stat = holder_max_exact(path_of(0.0, 1.0, 0.0), 0.25)
-        assert stat.argmax == (0, 1)
-
-    def test_statistic_json_fields(self):
-        stat = holder_max_exact(path_of(0.0, 1.0), 0.25)
-        doc = json.loads(json.dumps(stat.to_dict()))
-        assert set(doc) == {"value", "method", "alpha", "argmax_i", "argmax_j"}
 
 
 class TestWindowed:
@@ -235,11 +212,30 @@ class TestLagProfile:
         alpha_st,
         st.data(),
     )
-    def test_windowed_argmax_is_lexicographic_first(self, s, alpha, data):
+    def test_single_path_is_one_sweep(self, s, alpha, data):
+        # One path's maxima are one windowed_maxima call, which builds one
+        # extrema pyramid, at windows below n and at n or above.
         lag = data.draw(st.one_of(st.integers(min_value=1, max_value=s.shape[1]), edge_window_st))
-        stat = holder_max_windowed(PolygonalPath(s[0]), alpha, lag)
+        path = PolygonalPath(s[0])
+        want = windowed_max_batch(s, alpha, lag)[0]
+        want_exact = windowed_max_batch(s, alpha, path.n)[0]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("windowed_maxima", "_extrema_pyramid"):
+
+                def spy(*args, fn=getattr(holder, name), name=name):
+                    calls.append(name)
+                    return fn(*args)
+
+                mp.setattr(holder, name, spy)
+            stat = holder_max_windowed(path, alpha, lag)
+            assert sorted(calls) == ["_extrema_pyramid", "windowed_maxima"]
+            calls.clear()
+            exact = holder_max_exact(path, alpha)
+            assert sorted(calls) == ["_extrema_pyramid", "windowed_maxima"]
+        assert stat.value.hex() == want.hex()
         assert stat.value == brute_force_pair_max(s[0], alpha, lag)
-        assert stat.argmax == brute_force_pair_argmax(s[0], alpha, lag)
+        assert exact.value.hex() == want_exact.hex()
 
     @settings(max_examples=40, deadline=None)
     @given(long_sums_st(max_n=400), alpha_st)
@@ -260,11 +256,11 @@ class TestLagProfile:
                 assert np.all(bound[:, :blocks] >= exact)
 
     def test_ties_at_the_bound_are_kept(self):
-        # On a zigzag every block bound at lag 1 equals the maximum 1, which
-        # (0, 1) attains first; a bound equal to the maximum must be scanned.
+        # On a zigzag every block bound at lag 1 equals the maximum 1; a
+        # bound equal to the maximum must be scanned.
         s = np.tile([0.0, 1.0], 50)[None, :]
         assert windowed_maxima(s, 0.25, [99])[0, 0] == 1.0
-        assert holder_max_windowed(PolygonalPath(s[0]), 0.25, 99).argmax == (0, 1)
+        assert holder_max_windowed(PolygonalPath(s[0]), 0.25, 99).value == 1.0
 
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     def test_large_paths_bit_identical(self, process, chain_spec):
@@ -480,17 +476,14 @@ class TestBlockScan:
             windowed_maxima(s[1:2], 1 / 6, [n]), dense_windowed_maxima(s[1:2], 1 / 6, [n])
         )
 
-    def test_tie_at_a_long_lag_breaks_lexicographically(self):
+    def test_tie_at_a_long_lag_is_found(self):
         # Flat for 100 steps, up by 1 for 1024, down by 1 for 1024: the
         # maximum 1024 ** (1 - alpha) is attained at lag 1024 by (100, 1124)
         # and (1124, 2148), and by no shorter lag.
         h = np.concatenate([np.zeros(100), np.ones(1024), -np.ones(1024)])
         path = PolygonalPath.from_increments(h)
         alpha = 0.25
-        stat = holder_max_windowed(path, alpha, 1100)
-        assert stat.value == 1024 / 1024**alpha
-        assert stat.argmax == (100, 1124)
-        assert stat.argmax == brute_force_pair_argmax(path.partial_sums, alpha, 1100)
+        assert holder_max_windowed(path, alpha, 1100).value == 1024 / 1024**alpha
 
 
 class TestNormalizedStatistics:
@@ -510,33 +503,6 @@ class TestNormalizedStatistics:
         assert holder_norm_of_path(path_of(0.0, 1.0, -1.0), 0.25) == pytest.approx(
             2.0 ** (-0.25) * 2.0, rel=1e-15
         )
-
-    def test_modulus_delta_one_equals_norm(self):
-        rng = np.random.default_rng(4)
-        p = PolygonalPath.from_increments(rng.standard_normal(40))
-        assert modulus_restricted(p, 0.2, 1.0) == pytest.approx(
-            holder_norm_of_path(p, 0.2), rel=1e-15
-        )
-
-    def test_modulus_monotone_in_delta(self):
-        rng = np.random.default_rng(5)
-        p = PolygonalPath.from_increments(rng.standard_normal(64))
-        deltas = [0.004, 0.02, 0.1, 0.3, 0.7, 1.0]
-        vals = [modulus_restricted(p, 1.0 / 6.0, d) for d in deltas]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_modulus_validation(self):
-        p = path_of(0, 1)
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                modulus_restricted(p, 0.25, bad)
-
-    def test_modulus_sub_mesh_slope_formula(self):
-        p = path_of(0.0, 2.0, 1.0)  # max |h| = 2, n = 2
-        alpha = 0.25
-        delta = 0.2  # n * delta = 0.4 < 1: single-segment regime
-        expected = 2 ** (-alpha) * 2.0 * (2 * delta) ** (1 - alpha)
-        assert modulus_restricted(p, alpha, delta) == pytest.approx(expected, rel=1e-15)
 
     def test_vertex_statistic_below_grid_modulus(self):
         rng = np.random.default_rng(6)
@@ -563,6 +529,13 @@ class TestDyadicBounds:
 
     def test_lower_zero_path(self):
         assert dyadic_lower(path_of(0, 0, 0), 0.25).value == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(floor_sums_st(max_rows=1), sums_batch_st(max_rows=1)), alpha_st)
+    def test_lower_matches_pair_loop(self, s, alpha):
+        # n = 1, odd lengths, constant, tied and float paths
+        stat = dyadic_lower(PolygonalPath(s[0]), alpha)
+        assert stat.value.hex() == brute_force_dyadic_lower(s[0], alpha).hex()
 
     def test_pairwise_coarsen_drops_trailing(self):
         np.testing.assert_array_equal(pairwise_coarsen(np.array([1.0, 2.0, 5.0])), [3.0])

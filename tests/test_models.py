@@ -354,7 +354,9 @@ class TestWindowFunctions:
         # f = eps_0 * eps_1 -> E[f | <=0] = 0, E[f] = 0
         f = TableFunction(0, np.outer([-1.0, 1.0], [-1.0, 1.0]))
         assert f.condexp_past(0).is_zero
-        assert f.expectation() == 0.0
+        # conditioning on no innovation at all gives the constant E[f]
+        e = f.condexp_past(-1)
+        assert e.width == 0 and float(e.table) == 0.0
 
     def test_table_alignment_add(self):
         f = LinearFunction((0,), (1.0,)).to_table()
