@@ -21,6 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -39,7 +42,7 @@ from .models import (
     sample_batch,
 )
 from .norms import empirical_weak_lp, mw_norm
-from .rng import substreams
+from .rng import substream
 
 __all__ = [
     "CertificationReport",
@@ -147,6 +150,13 @@ def _partial_sums(increments: np.ndarray) -> np.ndarray:
     return s
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _is_mds(model: ProcessModel) -> bool:
     """True when the adapted semigroup annihilates the increment function."""
     if model.chain is not None:
@@ -171,6 +181,21 @@ def _dyadic_grid(n_max: int, n_min: int = 2) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+#: Partial sums the dyadic lemma sweeps per call: the stacked rows are
+#: evaluated in chunks of about this many, so the temporaries of a sweep
+#: stay near 8 MB whatever the number of paths.
+_LEMMA_SUMS = 1 << 20
+
+
+def _lemma_sides(hn: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the increments ``hn``: ``M(n, h)`` and
+    ``6 max_k |h_k| + 2^(-alpha) M(n//2, pairwise-summed h)``."""
+    lhs = windowed_max_batch(_partial_sums(hn), alpha, hn.shape[1])
+    coarse = pairwise_coarsen(hn)
+    half = windowed_max_batch(_partial_sums(coarse), alpha, coarse.shape[1])
+    return lhs, 6.0 * np.abs(hn).max(axis=1) + 2.0 ** (-alpha) * half
+
+
 def certify_dyadic_lemma(
     models: Sequence[ProcessModel],
     paths_per_model: int,
@@ -188,9 +213,10 @@ def certify_dyadic_lemma(
     stated relative tolerance; the worst (smallest) slack is reported.
 
     Model m's paths are ``sample_batch(model, n_max, paths_per_model,
-    seed + m)``.  The models' paths are stacked and each n is swept once
-    over all of them; rows are independent, so every maximum is the one a
-    model-by-model sweep gives.
+    seed + m)``.  The models' paths are stacked and each n is swept over all
+    of them at once, in chunks of about ``_LEMMA_SUMS`` partial sums (one
+    chunk for ``certify --suite all``'s 600 paths of 256 steps); rows are
+    independent, so every maximum is the one a model-by-model sweep gives.
     """
     if n_max > 4096:
         raise CapacityError("n_max above 4096 exceeds the exact-evaluation budget")
@@ -200,16 +226,16 @@ def certify_dyadic_lemma(
     grid = _dyadic_grid(n_max)
     if not grid:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    h = np.concatenate(
-        [sample_batch(model, n_max, paths_per_model, seed + m) for m, model in enumerate(models)]
-    )
+    h = np.empty((len(models) * paths_per_model, n_max))
+    for m, model in enumerate(models):
+        h[m * paths_per_model : (m + 1) * paths_per_model] = sample_batch(
+            model, n_max, paths_per_model, seed + m
+        )
     slacks = {}
     for n in grid:
-        hn = h[:, :n]
-        lhs = windowed_max_batch(_partial_sums(hn), alpha, n)
-        coarse = pairwise_coarsen(hn)
-        half = windowed_max_batch(_partial_sums(coarse), alpha, coarse.shape[1])
-        rhs = 6.0 * np.abs(hn).max(axis=1) + 2.0 ** (-alpha) * half
+        step = max(1, _LEMMA_SUMS // (n + 1))
+        chunks = [_lemma_sides(h[i : i + step, :n], alpha) for i in range(0, len(h), step)]
+        lhs, rhs = (np.concatenate(side) for side in zip(*chunks))
         slack = rhs - lhs
         rel = slack / np.where(rhs > 0, rhs, 1.0)
         slacks[n] = (slack, rel, lhs > rhs * (1.0 + rel_tol))
@@ -684,7 +710,11 @@ def nontightness_experiment(
     sampled ``chunk`` rows at a time into one reused buffer of partial sums:
     each row's increments are written in place (the chain's from its return
     times, by the sampler ``sample_batch`` runs; no states are built) and
-    summed in place, so the values do not depend on ``chunk``.
+    summed in place.  The rows of a chunk are drawn on a pool of threads, one
+    per usable CPU and at most one per row (NumPy releases the interpreter
+    lock while it fills and sums them); the windowed maxima of the chunk are
+    then taken on the calling thread.  A row depends only on its own stream,
+    so the values depend neither on ``chunk`` nor on the number of CPUs.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -714,22 +744,39 @@ def nontightness_experiment(
     scale = float(length) ** (-1.0 / spec.p)
     sigma = math.sqrt(renewal_variance_constant(spec))
     sampler = _RenewalSampler(spec, length)
-    rngs = substreams(seed, replicates)
+
+    def draw(row: np.ndarray, r: int) -> None:
+        # Replicate r's partial sums into row[1:], in place, on a worker
+        # thread.  It calls no public function of the package, so wrappers
+        # around those (tracing) only ever run on the calling thread.
+        steps = row[1:]
+        rng = substream(seed, r)
+        if process == "renewal":
+            scratch = scratches.get()
+            try:
+                sampler.row(rng, steps, scratch=scratch)
+            finally:
+                scratches.put(scratch)  # a row that raises must not starve the others
+        else:
+            rng.standard_normal(out=steps)
+            steps *= sigma
+        np.cumsum(steps, out=steps)
+
     values = np.empty(replicates)
     s = np.empty((min(chunk, replicates), length + 1))
     s[:, 0] = 0.0
-    for start in range(0, replicates, chunk):
-        block = s[: min(chunk, replicates - start)]
-        steps = block[:, 1:]
-        if process == "renewal":
-            sampler.fill(rngs, steps)
-        else:
-            # Rows first: zip then takes no generator past the chunk's end.
-            for row, rng in zip(steps, rngs):
-                rng.standard_normal(out=row)
-                row *= sigma
-        np.cumsum(steps, axis=1, out=steps)
-        values[start : start + len(block)] = scale * windowed_max_batch(block, alpha, window)
+    workers = min(_usable_cpus(), len(s))
+    # One pair of the chain's block arrays per worker, allocated on this
+    # thread: glibc keeps what a worker frees in that thread's own arena.
+    scratches = queue.SimpleQueue()
+    for _ in range(workers if process == "renewal" else 0):
+        scratches.put(sampler.scratch())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, replicates, chunk):
+            block = s[: min(chunk, replicates - start)]
+            # list() reads every row's result, so a row's exception is raised here.
+            list(pool.map(draw, block, range(start, start + len(block))))
+            values[start : start + len(block)] = scale * windowed_max_batch(block, alpha, window)
     hits = int(np.sum(values >= threshold))
     prob = hits / replicates
     ci = wilson_interval(hits, replicates)

@@ -130,10 +130,12 @@ def stepped_renewal_path(
     chain in plain Python: Y_{t+1} = Y_t - 1, or tau - 1 when Y_t = 0.
 
     Y_0 and the return times tau come from ``substream(seed, index)`` by
-    ``Generator.choice``, in the order and batch sizes of
-    ``sample_renewal_path`` (Y_0 first, then batches of taus), so the two
-    paths must agree bit for bit; a batch is drawn only when a return needs
-    a tau the earlier batches did not hold.
+    ``Generator.choice``, in the order of ``sample_renewal_path`` (Y_0
+    first, then the taus, one uniform each), so the two paths must agree bit
+    for bit; a batch is drawn only when a return needs a tau the earlier
+    batches did not hold.  A batch holds ``max(64, 1.2 n / E[tau] + 8)``
+    taus, so on long paths one batch here spans several of the sampler's
+    blocks of at most 2^14 uniforms.
     """
     rng = substream(seed, index)
     if start_state is None:

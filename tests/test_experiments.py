@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from hwip.models import (
     mds_model,
     renewal_model,
     renewal_variance_constant,
+    sample_batch,
     sample_renewal_path,
 )
 from hwip.rng import substream
@@ -103,6 +107,26 @@ class TestDyadicLemmaCertificate:
     def test_no_models_is_rejected(self):
         with pytest.raises(ValueError, match="models"):
             certify_dyadic_lemma([], 2, 8, 3.0, seed=1)
+
+    def test_chunked_sweeps_equal_one_batch(self, monkeypatch):
+        # At 1000 partial sums per sweep, the 120 rows are swept in chunks
+        # of 333 rows at n = 2 down to 7 rows at n = 128, the last chunk
+        # short; the report is the one of a single batch per n.
+        import hwip.experiments as experiments
+
+        models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
+        whole = certify_dyadic_lemma(models, 40, 200, 3.0, seed=7).to_json()
+        sizes = []
+
+        def sweep(partial_sums, alpha, max_lag):
+            sizes.append(partial_sums.size)
+            return windowed_max_batch(partial_sums, alpha, max_lag)
+
+        monkeypatch.setattr(experiments, "_LEMMA_SUMS", 1000)
+        monkeypatch.setattr(experiments, "windowed_max_batch", sweep)
+        assert certify_dyadic_lemma(models, 40, 200, 3.0, seed=7).to_json() == whole
+        chunks = [len(range(0, 120, 1000 // (n + 1))) for n in (2, 4, 8, 16, 32, 64, 128)]
+        assert len(sizes) == 2 * sum(chunks) and max(sizes) <= 1000
 
     def test_report_is_deterministic(self):
         models = [mds_model("rademacher")]
@@ -382,27 +406,101 @@ class TestNontightness:
     def test_replicates_match_per_replicate_oracle(self, chain_spec, process, seed):
         # 11 replicates in chunks of 4: rows 4 and 8 open a chunk and the
         # last chunk is short, so a stream skipped or reused between chunks
-        # moves a value.  Each replicate is drawn on its own here, the chain
-        # by stepping it, and scanned alone.
+        # moves a value.
+        _assert_matches_oracle(chain_spec, process, seed)
+
+    @pytest.mark.parametrize("process", ["renewal", "gaussian"])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_values_do_not_depend_on_cpus(self, chain_spec, monkeypatch, process, cpus):
+        # One worker, and three workers for chunks of 4 rows (more threads
+        # than the host may have cores, switching often), give the oracle's
+        # bits: two rows sharing a pair of block arrays would not.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_matches_oracle(chain_spec, process, 5)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_long_rows_on_three_workers(self, chain_spec, monkeypatch):
+        # Headline-length chain rows (392832 steps, about 18 blocks each),
+        # three at a time: each worker walks its blocks in its own pair of
+        # arrays.  The reference is sample_batch, whose rows are the
+        # stepped chain's bit for bit (test_models.py), drawn on one thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         rep = nontightness_experiment(
-            chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed, chunk=4,
-            process=process,
+            chain_spec, K=2, j_level=4, delta=1e-3, replicates=6, seed=5, chunk=6
         )
-        length, window, threshold = (rep.stats[k] for k in ("path_length", "window", "threshold"))
-        alpha = 0.5 - 1.0 / chain_spec.p
-        scale = float(length) ** (-1.0 / chain_spec.p)
-        sigma = math.sqrt(renewal_variance_constant(chain_spec))
-        expected = []
-        for r in range(11):
-            if process == "renewal":
-                _, inc = stepped_renewal_path(chain_spec, length, seed, index=r)
-            else:
-                inc = sigma * substream(seed, r).standard_normal(length)
-            s = np.concatenate([[0.0], np.cumsum(inc)])
-            value = scale * windowed_max_batch(s[None, :], alpha, window)[0]
-            expected.append((r, float(value), bool(value >= threshold)))
-        assert rep.replicate_rows == expected
-        assert [v.hex() for _, v, _ in rep.replicate_rows] == [v.hex() for _, v, _ in expected]
+        length, window = rep.stats["path_length"], rep.stats["window"]
+        s = np.zeros((6, length + 1))
+        s[:, 1:] = np.cumsum(sample_batch(renewal_model(3.0, 4), length, 6, 5), axis=1)
+        values = float(length) ** (-1.0 / 3.0) * windowed_max_batch(s, 0.5 - 1.0 / 3.0, window)
+        assert [v for _, v, _ in rep.replicate_rows] == values.tolist()
+
+    def test_sweeps_run_on_calling_thread(self, chain_spec, monkeypatch):
+        # Rows are drawn on worker threads; every sweep, once per chunk,
+        # stays on the caller's thread.
+        import hwip.experiments as experiments
+
+        sweeps, draws = [], []
+
+        def sweep(*args):
+            sweeps.append(threading.get_ident())
+            return windowed_max_batch(*args)
+
+        def stream(seed, r):
+            draws.append(threading.get_ident())
+            return substream(seed, r)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(experiments, "windowed_max_batch", sweep)
+        monkeypatch.setattr(experiments, "substream", stream)
+        nontightness_experiment(
+            chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5, chunk=4
+        )
+        assert sweeps == [threading.get_ident()] * 3
+        assert len(draws) == 11 and threading.get_ident() not in draws
+
+    @pytest.mark.parametrize("process", ["renewal", "gaussian"])
+    def test_row_error_propagates(self, chain_spec, monkeypatch, process):
+        # Every row from the second chunk on raises on a worker, inside the
+        # chain's sampler (which holds one of the two shared pairs of block
+        # arrays while it runs) or the Gaussian fill: the run ends with the
+        # exception, after the other rows of the chunk, and nothing waits
+        # forever.
+        import hwip.experiments as experiments
+
+        class Broken:
+            def random(self, *args, **kwargs):
+                raise OverflowError("row")
+
+            standard_normal = random
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            experiments, "substream", lambda seed, r: Broken() if r >= 4 else substream(seed, r)
+        )
+        caught = []
+
+        def run():
+            try:
+                nontightness_experiment(
+                    chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5, chunk=4,
+                    process=process,
+                )
+            except OverflowError as exc:
+                caught.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [str(exc) for exc in caught] == ["row"]
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -419,6 +517,29 @@ class TestNontightness:
         a = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=6)
         b = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=6)
         assert a.to_json() == b.to_json()
+
+
+def _assert_matches_oracle(spec, process, seed):
+    """nontightness_experiment at 11 replicates in chunks of 4 against each
+    replicate drawn on its own, the chain by stepping it, and scanned alone."""
+    rep = nontightness_experiment(
+        spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed, chunk=4, process=process,
+    )
+    length, window, threshold = (rep.stats[k] for k in ("path_length", "window", "threshold"))
+    alpha = 0.5 - 1.0 / spec.p
+    scale = float(length) ** (-1.0 / spec.p)
+    sigma = math.sqrt(renewal_variance_constant(spec))
+    expected = []
+    for r in range(11):
+        if process == "renewal":
+            _, inc = stepped_renewal_path(spec, length, seed, index=r)
+        else:
+            inc = sigma * substream(seed, r).standard_normal(length)
+        s = np.concatenate([[0.0], np.cumsum(inc)])
+        value = scale * windowed_max_batch(s[None, :], alpha, window)[0]
+        expected.append((r, float(value), bool(value >= threshold)))
+    assert rep.replicate_rows == expected
+    assert [v.hex() for _, v, _ in rep.replicate_rows] == [v.hex() for _, v, _ in expected]
 
 
 class TestRenewalIdentity:

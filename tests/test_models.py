@@ -36,7 +36,7 @@ from hwip.models import (
     sample_renewal_path,
     semigroup_partial_sums,
 )
-from hwip.models import _cdf_index, _choice_cdf
+from hwip.models import _BLOCK, _RenewalSampler, _cdf_index, _choice_cdf
 from hwip.rng import substream
 
 from conftest import brute_force_partial_sum, mc_conditional_sums, stepped_renewal_path
@@ -226,6 +226,14 @@ class TestRenewalPathMatchesStepping:
             (3000, spec.u[-2] - 1, 3), (50, spec.n_states - 1, 4),
         ):
             _assert_matches_stepping(spec, length, seed, start)
+
+    @pytest.mark.parametrize("start", [None, 0, 1, 130, 60001])
+    def test_several_blocks(self, start):
+        # 60000 steps need about 44000 return times: three blocks of the
+        # sampler, one batch of the oracle's.  60001 starts past the end.
+        spec = build_renewal_chain(3.0, 5)
+        assert _RenewalSampler(spec, 60000).block == _BLOCK < 60000 / spec.mean_tau / 2.5
+        _assert_matches_stepping(spec, 60000, 7, start)
 
     def test_every_length_up_to_400(self, chain_spec):
         # Every length, so some paths end exactly on a later return too.
@@ -586,6 +594,13 @@ class TestSampleBatch:
             for r in range(5):
                 _, ref = stepped_renewal_path(spec, n, seed, index=r)
                 assert batch[r].tobytes() == ref.tobytes()
+
+    def test_renewal_rows_span_several_blocks(self):
+        spec = build_renewal_chain(3.0, 5)
+        batch = sample_batch(renewal_model(3.0, 5), 60000, 3, 2**63 + 1)
+        for r in range(3):
+            _, ref = stepped_renewal_path(spec, 60000, 2**63 + 1, index=r)
+            assert batch[r].tobytes() == ref.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(_MODEL_DOCS, st.integers(min_value=1, max_value=400), st.data(), _SEEDS)
