@@ -18,8 +18,9 @@ JSON.  Exit codes: 0 all verdicts pass, 1 some verdict failed, 2
 configuration error.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
-then the published default.  Every run is single-threaded and all
-reductions are sequential deterministic folds, so outputs are a pure
+then the published default.  Every reduction is a sequential
+deterministic fold on the calling thread; ``counterexample`` draws its
+rows on worker threads, each from its own stream.  So outputs are a pure
 function of (config, seed).
 """
 

@@ -167,9 +167,9 @@ def _is_mds(model: ProcessModel) -> bool:
     return apply_PT(model, "adapted", model.increment_fn, 1).is_zero
 
 
-def _dyadic_grid(n_max: int, n_min: int = 2) -> list[int]:
+def _dyadic_grid(n_max: int) -> list[int]:
     grid = []
-    n = n_min
+    n = 2
     while n <= n_max:
         grid.append(n)
         n *= 2
@@ -185,6 +185,9 @@ def _dyadic_grid(n_max: int, n_min: int = 2) -> list[int]:
 #: evaluated in chunks of about this many, so the temporaries of a sweep
 #: stay near 8 MB whatever the number of paths.
 _LEMMA_SUMS = 1 << 20
+#: Relative tolerance of the dyadic lemma: a path violates the recursion
+#: when its left side exceeds the right side times ``1 + _LEMMA_REL_TOL``.
+_LEMMA_REL_TOL = 1e-9
 
 
 def _lemma_sides(hn: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +205,6 @@ def certify_dyadic_lemma(
     n_max: int,
     p: float,
     seed: int,
-    rel_tol: float = 1e-9,
 ) -> CertificationReport:
     """Check the pathwise recursion
 
@@ -210,7 +212,8 @@ def certify_dyadic_lemma(
 
     with both sides evaluated exactly, on every sampled path at every n of
     the dyadic grid up to n_max.  Passing means zero violations at the
-    stated relative tolerance; the worst (smallest) slack is reported.
+    relative tolerance ``_LEMMA_REL_TOL``; the worst (smallest) slack is
+    reported.
 
     Model m's paths are ``sample_batch(model, n_max, paths_per_model,
     seed + m)``.  The models' paths are stacked and each n is swept over all
@@ -238,7 +241,7 @@ def certify_dyadic_lemma(
         lhs, rhs = (np.concatenate(side) for side in zip(*chunks))
         slack = rhs - lhs
         rel = slack / np.where(rhs > 0, rhs, 1.0)
-        slacks[n] = (slack, rel, lhs > rhs * (1.0 + rel_tol))
+        slacks[n] = (slack, rel, lhs > rhs * (1.0 + _LEMMA_REL_TOL))
     per_point = []
     for m, model in enumerate(models):
         rows = slice(m * paths_per_model, (m + 1) * paths_per_model)
@@ -265,7 +268,7 @@ def certify_dyadic_lemma(
             "n_max": n_max,
             "p": p,
             "seed": seed,
-            "rel_tol": rel_tol,
+            "rel_tol": _LEMMA_REL_TOL,
         },
         verdict="pass" if passed else f"{violations} violations",
         passed=passed,
@@ -276,6 +279,10 @@ def certify_dyadic_lemma(
 # ---------------------------------------------------------------------------
 # Maximal-inequality ratio certifications
 # ---------------------------------------------------------------------------
+
+#: Bands for the fitted log-log slope of each ratio across the n grid.
+_MARTINGALE_SLOPES = (-0.05, 0.02)
+_MW_SLOPES = (-0.5, 0.02)
 
 
 def _m_statistics(
@@ -313,11 +320,10 @@ def certify_martingale_inequality(
     n_grid: Sequence[int],
     replicates: int,
     seed: int,
-    slope_bounds: tuple[float, float] = (-0.05, 0.02),
 ) -> CertificationReport:
     """Boundedness of ||M(n, m)||_{p,inf} / (n^(1/p) ||m||_p) for a
     martingale-difference model: the fitted log-log slope of the ratio must
-    stay within ``slope_bounds``."""
+    stay within ``_MARTINGALE_SLOPES``."""
     if not _is_mds(model):
         raise CapabilityError(f"model {model.label!r} is not a martingale difference")
     m_norm = model.increment_lp_norm(p)
@@ -333,7 +339,7 @@ def certify_martingale_inequality(
         per_point.append({"n": n, "weak_lp_root": est.root, "ratio": ratio})
         rows.extend((n, r, float(v)) for r, v in enumerate(values))
     slope = _fit_slope(list(stats_by_n), ratios) if m_norm > 0 else 0.0
-    passed = slope_bounds[0] <= slope <= slope_bounds[1]
+    passed = _MARTINGALE_SLOPES[0] <= slope <= _MARTINGALE_SLOPES[1]
     stats = {
         "slope": slope,
         "max_ratio": max(ratios),
@@ -348,7 +354,7 @@ def certify_martingale_inequality(
             "n_grid": sorted(stats_by_n),
             "replicates": replicates,
             "seed": seed,
-            "slope_bounds": list(slope_bounds),
+            "slope_bounds": list(_MARTINGALE_SLOPES),
         },
         verdict="bounded ratios" if passed else "ratio drift detected",
         passed=passed,
@@ -396,7 +402,6 @@ def certify_mw_inequality(
     n_grid: Sequence[int],
     replicates: int,
     seed: int,
-    slope_bounds: tuple[float, float] = (-0.5, 0.02),
 ) -> CertificationReport:
     """Boundedness of the semigroup maximal inequality
 
@@ -404,7 +409,9 @@ def certify_mw_inequality(
                                            + K_p sum_{j<r} 2^(-j/2) ||V_{2^j} f||_p)
 
     with r = ceil(log2(n+1)), plus the corollary ratio of the Hölder norm
-    of the sqrt(n)-scaled path to the dyadic norm of f.
+    of the sqrt(n)-scaled path to the dyadic norm of f.  Passing means a
+    fitted log-log slope of the ratio within ``_MW_SLOPES`` and every ratio
+    at most 1.
     """
     k_p = _K_p(p)
     first = _bracket_first_term(model, variant, p)
@@ -435,7 +442,7 @@ def certify_mw_inequality(
         )
         rows.extend((n, rr, float(v)) for rr, v in enumerate(values))
     slope = _fit_slope(list(stats_by_n), ratios)
-    passed = slope_bounds[0] <= slope <= slope_bounds[1] and all(r <= 1.0 for r in ratios)
+    passed = _MW_SLOPES[0] <= slope <= _MW_SLOPES[1] and all(r <= 1.0 for r in ratios)
     stats = {
         "slope": slope,
         "max_ratio": max(ratios),
@@ -453,7 +460,7 @@ def certify_mw_inequality(
             "n_grid": sorted(stats_by_n),
             "replicates": replicates,
             "seed": seed,
-            "slope_bounds": list(slope_bounds),
+            "slope_bounds": list(_MW_SLOPES),
             "K_of_PT": _K_OF_PT,
         },
         verdict="bounded ratios" if passed else "ratio drift detected",
@@ -487,18 +494,16 @@ def fdd_convergence_test(
     replicates: int,
     time_grid: Sequence[float],
     seed: int,
-    p: float | None = None,
-    eta: float | None = None,
 ) -> dict:
     """KS distance between the law of W(n, t)/sqrt(n) and N(0, eta * t) at
-    each grid time; eta defaults to the run's own Var(S_n)/n estimate.
-    ``fdd`` lists the [t, KS distance] pairs."""
+    each grid time, with eta the run's own Var(S_n)/n estimate.  ``fdd``
+    lists the [t, KS distance] pairs."""
     time_grid = [float(t) for t in time_grid]
     if any(t <= 0.0 or t > 1.0 for t in time_grid):
         raise ValueError("time_grid must lie in (0, 1]")
     h = sample_batch(model, n, replicates, seed)
     s = _partial_sums(h)
-    eta_hat = float(np.var(s[:, -1], ddof=1) / n) if eta is None else float(eta)
+    eta_hat = float(np.var(s[:, -1], ddof=1) / n)
     eta_se = eta_hat * math.sqrt(2.0 / max(replicates - 1, 1))
     fdd = []
     sqrt_n = math.sqrt(n)
@@ -562,6 +567,10 @@ def holder_norm_distribution_ks(
 # Tightness and non-tightness
 # ---------------------------------------------------------------------------
 
+#: Exceedance probability that every delta's sup over n must reach for the
+#: tightness verdict "non-tight evidence".
+_FLOOR_PROBABILITY = 0.2
+
 
 def holder_tightness_diagnostic(
     model: ProcessModel,
@@ -571,14 +580,13 @@ def holder_tightness_diagnostic(
     delta_grid: Sequence[float],
     epsilon: float,
     seed: int,
-    floor_probability: float = 0.2,
 ) -> CertificationReport:
     """Estimate P(modulus of the sqrt(n)-scaled path over windows < delta
     exceeds epsilon) on the (n, delta) grid.
 
     The statistic per path is ``n^(-1/p) * max over j-i <= n*delta`` of the
     vertex ratios, i.e. the vertex Hölder modulus of W(n)/sqrt(n).  Verdict:
-    "non-tight evidence" when the sup over n stays above ``floor_probability``
+    "non-tight evidence" when the sup over n reaches ``_FLOOR_PROBABILITY``
     for every delta; "tightness-consistent" when the sup decays monotonically
     (within CI width) as delta shrinks.
     """
@@ -611,7 +619,7 @@ def holder_tightness_diagnostic(
                 sup_by_delta[d] = prob
                 ci_by_delta[d] = (lo, hi)
     sups = [sup_by_delta[d] for d in deltas]
-    if min(sups) >= floor_probability:
+    if min(sups) >= _FLOOR_PROBABILITY:
         verdict = "non-tight evidence"
         passed = True
     else:

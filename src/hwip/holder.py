@@ -16,11 +16,11 @@ starts from a pyramid of block minima and maxima and scans only the blocks
 whose bound reaches the running maximum.  A window that covers the whole
 path starts that maximum from the quotient of each row's range pair
 (argmin S, argmax S), often most of the final value, so its bounds prune
-from there.  The surviving blocks of a segment are scanned lag by lag over
-(starts, blocks) slabs, the blocks on the fast axis, when there are at
-least as many of them as lags; fewer are scanned as one (blocks, starts,
-lags) array.  ``holder_max_windowed`` / ``holder_max_exact`` read it for
-one path, ``windowed_max_batch`` for a batch of paths and one window.
+from there.  The surviving blocks of a segment are scanned from one
+(lags, starts, blocks) view of their ends, in groups of lags, the blocks
+on the fast axis.  ``holder_max_windowed`` / ``holder_max_exact`` read the
+sweep for one path, ``windowed_max_batch`` for a batch of paths and one
+window.
 ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
 sandwich the exact value.
 """
@@ -208,23 +208,16 @@ def _block_maxima(
     scale ``d ** alpha``, never above that pair's own quotient, which lies
     in the window too.
 
-    The layout follows the number of blocks: with at least as many blocks
-    as lags, ``_maxima_by_lag``; with fewer, where one pass per lag would
-    cost more in calls than in work, ``_maxima_by_block``.  Either way each
-    quotient is ``fl(|S_j - S_i|) / fl(d ** alpha)``, so the maxima are the
-    same bits.
+    The sums of a chunk of blocks are gathered once as (offsets, blocks),
+    about ``_CHUNK`` of them.  The ends at every lag are one (lags, starts,
+    blocks) view of them, taken in groups of lags of about ``_CHUNK // 4``
+    differences through one buffer, the blocks on the fast axis.  Each
+    quotient is ``fl(|S_j - S_i|) / fl(d ** alpha)``, however the lags are
+    grouped.
     """
-    scan = _maxima_by_lag if starts.size >= hi - lo + 1 else _maxima_by_block
-    return scan(s, rows, starts, size, lo, hi, _scales(lo, hi, alpha))
-
-
-def _maxima_by_lag(s, rows, starts, size: int, lo: int, hi: int, scales) -> np.ndarray:
-    """``_block_maxima`` lag by lag.  The sums of a chunk of blocks are
-    gathered once as (offsets, blocks), about ``_CHUNK`` of them; then each
-    lag is one pass over a (starts, blocks) slab, the blocks on the fast
-    axis."""
     n = s.shape[1] - 1
     lags = hi - lo + 1
+    scales = _scales(lo, hi, alpha)[:, None]
     # offsets from a block's first start: its starts are the first ``size``,
     # its ends the last ``size + lags - 1``
     offsets = np.concatenate((np.arange(min(lo, size)), np.arange(lo, lo + size + lags - 1)))[:, None]
@@ -236,44 +229,19 @@ def _maxima_by_lag(s, rows, starts, size: int, lo: int, hi: int, scales) -> np.n
         np.minimum(at, n, out=at)
         at += rows[c0 : c0 + step] * (n + 1)
         sums = flat.take(at)
-        s_i, s_j = sums[:size], sums[-(size + lags - 1) :]
-        diff = np.empty_like(s_i)
+        s_i = sums[:size]
+        ends = sliding_window_view(sums[-(size + lags - 1) :], size, axis=0).transpose(0, 2, 1)
+        group = max(1, _CHUNK // 4 // s_i.size)
+        diff = np.empty((min(group, lags),) + s_i.shape)
         per_lag = np.empty((lags, s_i.shape[1]))
-        for t in range(lags):
-            np.subtract(s_j[t : t + size], s_i, out=diff)
-            np.abs(diff, out=diff)
-            diff.max(axis=0, out=per_lag[t])
-        per_lag /= scales[:, None]
+        for t in range(0, lags, group):
+            d = diff[: min(group, lags - t)]
+            np.subtract(ends[t : t + group], s_i, out=d)
+            np.abs(d, out=d)
+            d.max(axis=1, out=per_lag[t : t + group])
+        per_lag /= scales
         per_lag.max(axis=0, out=out[c0 : c0 + step])
     return out
-
-
-def _maxima_by_block(s, rows, starts, size: int, lo: int, hi: int, scales) -> np.ndarray:
-    """``_block_maxima`` as one (blocks, starts, lags) array of differences
-    per chunk of about ``_CHUNK``; a block with more differences is split
-    into pieces of starts."""
-    n = s.shape[1] - 1
-    lags = hi - lo + 1
-    piece = size
-    while piece > 1 and piece * lags > _CHUNK:
-        piece //= 2
-    if piece < size:
-        starts = (starts[:, None] + np.arange(0, size, piece)).ravel()
-        rows = np.repeat(rows, size // piece)
-    out = np.empty(starts.size)
-    step = max(1, _CHUNK // (piece * lags))
-    at_i = np.arange(piece)
-    at_j = np.arange(lo, lo + piece + lags - 1)
-    for c0 in range(0, starts.size, step):
-        a = starts[c0 : c0 + step, None]
-        r = rows[c0 : c0 + step, None]
-        s_i = s[r, np.minimum(a + at_i, n)]
-        s_j = s[r, np.minimum(a + at_j, n)]
-        diff = sliding_window_view(s_j, lags, axis=1) - s_i[:, :, None]
-        per_lag = np.abs(diff, out=diff).max(axis=1)
-        per_lag /= scales
-        per_lag.max(axis=1, out=out[c0 : c0 + step])
-    return out if piece == size else out.reshape(-1, size // piece).max(axis=1)
 
 
 def _dense_maxima(s: np.ndarray, lo: int, hi: int, alpha: float) -> np.ndarray:
@@ -326,11 +294,9 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
     each row is bounded from the block extrema (``_block_bounds``).  A
     block whose bound lies strictly below its row's ``best`` holds no pair
     that reaches it, and is skipped.  The other blocks are scanned exactly
-    (``_block_maxima``): lag by lag over (starts, blocks) slabs with the
-    blocks on the fast axis when they are at least as many as the
-    segment's lags, else as one (blocks, starts, lags) array; when they are
-    more than half of the segment, the segment is swept densely lag by lag
-    instead.  Once in every row the oscillation envelope
+    (``_block_maxima``), in groups of lags with the blocks on the fast
+    axis; when they are more than half of the segment, the segment is swept
+    densely lag by lag instead.  Once in every row the oscillation envelope
     ``(max S - min S) / lo**alpha`` falls strictly below ``best``, no later
     lag can reach it, and the sweep stops.
     """

@@ -447,19 +447,21 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` for a sorted ``cdf``: the number
-    of edges ``<= u``, counted by one comparison pass per edge, so tied edges
-    (zero-probability entries) count twice as in the search.  On a CDF of a
-    few entries, such as the return times', and thousands of uniforms, this
-    is several times cheaper than the binary search."""
-    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(cdf.size))
+def _cdf_index(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for a sorted ``cdf``, into
+    ``out``: the number of edges ``<= u``, counted by one comparison pass per
+    edge, so tied edges (zero-probability entries) count twice as in the
+    search.  ``out`` (an integer array that holds ``cdf.size``) and the bool
+    ``mask`` have u's shape; with a ``uint8`` ``out`` nothing is allocated.
+    On a CDF of a few entries, such as the return times', and thousands of
+    uniforms, this is several times cheaper than the binary search."""
+    out.fill(0)
     for edge in cdf:
-        idx += u >= edge
-    return idx
+        np.add(out, np.greater_equal(u, edge, out=mask).view(np.uint8), out=out)
+    return out
 
 
-#: Return times drawn per block by the renewal sampler; a block's two arrays
+#: Return times drawn per block by the renewal sampler; a block's arrays
 #: are the only ones beside the path.  With them allocated per row on two
 #: worker threads, whose freed memory glibc keeps in per-thread arenas, 60
 #: headline repetitions in one process peaked 29 MB higher with one
@@ -490,9 +492,12 @@ class _RenewalSampler:
         self.taus = spec.tau_values
         self.block = min(max(64, int(1.2 * (n / spec.mean_tau)) + 8), _BLOCK)
 
-    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two arrays a row walks its blocks in: uniforms and slots."""
-        return np.empty(self.block), np.empty(self.block, dtype=np.int64)
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        """The arrays a row walks its blocks in: uniforms, slots, and the
+        counts and mask of ``_cdf_index``."""
+        b = self.block
+        counts = np.empty(b, dtype=np.min_scalar_type(self.tau_cdf.size))
+        return np.empty(b), np.empty(b, dtype=np.int64), counts, np.empty(b, dtype=bool)
 
     def row(
         self,
@@ -506,18 +511,21 @@ class _RenewalSampler:
 
         The first return is Y_0 (when >= 1); each block of return times is
         summed in place and offset by the last return before it, less one,
-        which gives the returns' slots in ``out``.  The block's two arrays
-        are ``scratch`` (from ``self.scratch()``), or new ones for this row."""
+        which gives the returns' slots in ``out``.  The block's arrays are
+        ``scratch`` (from ``self.scratch()``), or new ones for this row; a
+        block allocates nothing."""
         if y0 is None:
             y0 = int(self.start_cdf.searchsorted(rng.random(), side="right"))
         out.fill(-self.pi0)
         last = y0
         if 1 <= last <= self.n:
             out[last - 1] = 1.0 - self.pi0
-        u, slots = self.scratch() if scratch is None else scratch
+        u, slots, counts, mask = self.scratch() if scratch is None else scratch
+        idx = u.view(np.intp)  # the uniforms are spent once counted
         while last <= self.n:
+            idx[...] = _cdf_index(self.tau_cdf, rng.random(out=u), counts, mask)
             # Every index is < len(taus), since u < 1, the last CDF edge.
-            np.take(self.taus, _cdf_index(self.tau_cdf, rng.random(out=u)), out=slots, mode="clip")
+            np.take(self.taus, idx, out=slots, mode="clip")
             np.cumsum(slots, out=slots)
             slots += last - 1
             k = int(slots.searchsorted(self.n, side="left"))

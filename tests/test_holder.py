@@ -419,23 +419,33 @@ def drift_and_noise(rows, n, seed):
 
 
 class TestBlockScan:
-    """The exact scan of the surviving start blocks, ``_block_maxima``, in
-    both of its layouts: lag by lag over (starts, blocks) slabs when a
-    segment keeps at least as many blocks as it has lags, and one
-    (blocks, starts, lags) array otherwise."""
+    """The exact scan of the surviving start blocks, ``_block_maxima``: per
+    chunk of blocks, the ends at every lag are one (lags, starts, blocks)
+    view, taken in groups of lags of about ``_CHUNK // 4`` differences."""
 
     @staticmethod
-    def layouts(mp):
-        """Record the name of each layout that scans a segment."""
-        seen = set()
-        for name in ("_maxima_by_lag", "_maxima_by_block"):
+    def lag_groups(mp):
+        """Record, per chunk of blocks, the shape of the view of its ends and
+        the number of lags in each group taken from it."""
+        chunks = []
+        real = holder.sliding_window_view
 
-            def spy(*args, scan=getattr(holder, name), name=name):
-                seen.add(name)
-                return scan(*args)
+        class Ends:
+            def __init__(self, view):
+                self.view = view
 
-            mp.setattr(holder, name, spy)
-        return seen
+            def transpose(self, *axes):
+                view = self.view.transpose(*axes)
+                chunks.append((view.shape, []))
+                return Ends(view)
+
+            def __getitem__(self, key):
+                group = self.view[key]
+                chunks[-1][1].append(len(group))
+                return group
+
+        mp.setattr(holder, "sliding_window_view", lambda *a, **k: Ends(real(*a, **k)))
+        return chunks
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -445,22 +455,29 @@ class TestBlockScan:
         st.data(),
     )
     def test_small_chunks_match_dense_sweep(self, s, alpha, chunk, data):
-        # Chunks of at most a few blocks (or a few starts of one block), so
-        # each segment's scan crosses chunk boundaries in either layout.
+        # Chunks of at most a few blocks, so each segment's scan crosses
+        # chunk boundaries, one lag at a time.
         windows = data.draw(windows_st(s.shape[1] - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(holder, "_CHUNK", chunk)
             got = windowed_maxima(s, alpha, windows)
         np.testing.assert_array_equal(got, dense_windowed_maxima(s, alpha, windows))
 
-    def test_both_layouts_run(self):
+    def test_lag_groups_match_dense_sweep(self):
+        # The segment of lags 576..599 keeps 12 blocks of 64 starts.  By
+        # _CHUNK: one block per chunk, in groups of 1 lag; one chunk, in
+        # groups of 5, 5, 5, 5 and 4 lags; one chunk and one group of all 24.
         s = drift_and_noise(24, 600, seed=3)
-        for chunk in (holder._CHUNK, 40):
+        for chunk, expected in (
+            (40, [((24, 64, 1), [1] * 24)] * 12),
+            (1 << 14, [((24, 64, 12), [5, 5, 5, 5, 4])]),
+            (1 << 18, [((24, 64, 12), [24])]),
+        ):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(holder, "_CHUNK", chunk)
-                seen = self.layouts(mp)
+                chunks = self.lag_groups(mp)
                 got = windowed_maxima(s, 0.25, [600, 37])
-            assert seen == {"_maxima_by_lag", "_maxima_by_block"}
+            assert [c for c in chunks if c[0][:2] == (24, 64)] == expected
             np.testing.assert_array_equal(got, dense_windowed_maxima(s, 0.25, [600, 37]))
 
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 4095, 4096])

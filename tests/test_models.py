@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -156,6 +157,11 @@ class TestCdfIndex:
     """The return times are looked up by counting the CDF edges <= u; that
     must be the index ``cdf.searchsorted(u, side="right")`` gives."""
 
+    @staticmethod
+    def _count(cdf, u):
+        counts = np.empty(u.shape, dtype=np.min_scalar_type(cdf.size))
+        return _cdf_index(cdf, u, counts, np.empty(u.shape, dtype=bool))
+
     # Probability vectors with zero entries, so the CDF has tied edges (and a
     # first edge of 0.0 when p_0 = 0); u is drawn from the edges themselves,
     # their neighbours, 0.0 and arbitrary points of [0, 1).
@@ -176,15 +182,13 @@ class TestCdfIndex:
                 max_size=20,
             ))
         u = np.array(points)
-        idx = _cdf_index(cdf, u)
-        np.testing.assert_array_equal(idx, cdf.searchsorted(u, side="right"))
-        assert _cdf_index(cdf, 0.0) == cdf.searchsorted(0.0, side="right")
+        np.testing.assert_array_equal(self._count(cdf, u), cdf.searchsorted(u, side="right"))
 
     @pytest.mark.parametrize("p, depth", _CHAINS_BY_DEPTH)
     def test_return_time_cdf(self, p, depth):
         cdf = _choice_cdf(build_renewal_chain(p, depth).tau_probs)
         u = np.concatenate([[0.0], cdf, substream(3).random(10000)])
-        np.testing.assert_array_equal(_cdf_index(cdf, u), cdf.searchsorted(u, side="right"))
+        np.testing.assert_array_equal(self._count(cdf, u), cdf.searchsorted(u, side="right"))
 
 
 class TestRenewalPathMatchesStepping:
@@ -234,6 +238,20 @@ class TestRenewalPathMatchesStepping:
         spec = build_renewal_chain(3.0, 5)
         assert _RenewalSampler(spec, 60000).block == _BLOCK < 60000 / spec.mean_tau / 2.5
         _assert_matches_stepping(spec, 60000, 7, start)
+
+    def test_blocks_allocate_nothing(self):
+        # Three blocks walked in the sampler's scratch arrays allocate no
+        # temporaries; one index array per block would take 128 KiB.
+        sampler = _RenewalSampler(build_renewal_chain(3.0, 5), 60000)
+        out, scratch = np.empty(60000), sampler.scratch()
+        sampler.row(substream(7), out, scratch=scratch)
+        tracemalloc.start()
+        try:
+            sampler.row(substream(8), out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 10
 
     def test_every_length_up_to_400(self, chain_spec):
         # Every length, so some paths end exactly on a later return too.
