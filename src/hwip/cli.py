@@ -19,15 +19,16 @@ configuration error.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
 then the published default.  Every reduction is a sequential
-deterministic fold on the calling thread; ``counterexample`` draws its
-rows on worker threads, each from its own stream.  So outputs are a pure
-function of (config, seed).
+deterministic fold; ``counterexample`` draws and sweeps each replicate on
+a worker thread, from its own stream into its own value.  So outputs are a
+pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -345,6 +346,12 @@ def _cmd_counterexample(args, config: dict, seed: int) -> dict:
     depth = v["depth"]
     j_level = depth if v["j"] is None else expect_int(v, "j", minimum=1, maximum=depth)
     spec = build_renewal_chain(v["p"], depth)
+    if not v["K"] > spec.mean_tau:
+        raise ConfigError(f"K: got {v['K']}, but K must exceed the mean return time {spec.mean_tau:.5f}")
+    u = spec.u[j_level - 1]
+    n = math.floor(float(u) ** (0.5 * (spec.p + 2.0)))  # the subsequence n_j = floor(u_j^((p+2)/2))
+    if u > n * v["delta"]:
+        raise ConfigError(f"delta: too small at j = {j_level}: need u_j = {u} <= n*delta = {n * v['delta']:g}")
     run = dict(K=v["K"], j_level=j_level, delta=v["delta"], replicates=v["replicates"], seed=seed)
     reports = {"counterexample": nontightness_experiment(spec, **run)}
     if args.contrast:

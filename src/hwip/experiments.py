@@ -698,7 +698,6 @@ def nontightness_experiment(
     replicates: int,
     seed: int,
     process: str = "renewal",
-    chunk: int = 8,
 ) -> CertificationReport:
     """Heavy-excursion demonstration along the tuned subsequence.
 
@@ -714,20 +713,18 @@ def nontightness_experiment(
     tight null sharing the same Brownian limit); the theoretical bound is
     chain-specific and omitted there.
 
-    Replicate r draws from ``substream(seed, r)``.  The replicates are
-    sampled ``chunk`` rows at a time into one reused buffer of partial sums:
-    each row's increments are written in place (the chain's from its return
-    times, by the sampler ``sample_batch`` runs; no states are built) and
-    summed in place.  The rows of a chunk are drawn on a pool of threads, one
-    per usable CPU and at most one per row (NumPy releases the interpreter
-    lock while it fills and sums them); the windowed maxima of the chunk are
-    then taken on the calling thread.  A row depends only on its own stream,
-    so the values depend neither on ``chunk`` nor on the number of CPUs.
+    Replicate r draws from ``substream(seed, r)``.  Each replicate is one
+    task on a pool of ``min(usable CPUs, replicates, 8)`` threads (NumPy
+    releases the interpreter lock while it fills, sums and sweeps a row).  A
+    task borrows one of the pool's row buffers, writes the row's increments
+    there in place (the chain's from its return times, by the sampler
+    ``sample_batch`` runs; no states are built), sums them in place and
+    takes the row's windowed maximum while the row is still in its core's
+    cache.  A row depends only on its own stream, and its maximum only on
+    its own row, so the values do not depend on the number of CPUs.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if K <= spec.mean_tau:
         raise ValueError(f"K must exceed the mean return time {spec.mean_tau:.5f}")
     if not 1 <= j_level <= spec.depth:
@@ -753,38 +750,34 @@ def nontightness_experiment(
     sigma = math.sqrt(renewal_variance_constant(spec))
     sampler = _RenewalSampler(spec, length)
 
-    def draw(row: np.ndarray, r: int) -> None:
-        # Replicate r's partial sums into row[1:], in place, on a worker
-        # thread.  It calls no public function of the package, so wrappers
-        # around those (tracing) only ever run on the calling thread.
-        steps = row[1:]
-        rng = substream(seed, r)
-        if process == "renewal":
-            scratch = scratches.get()
-            try:
-                sampler.row(rng, steps, scratch=scratch)
-            finally:
-                scratches.put(scratch)  # a row that raises must not starve the others
-        else:
-            rng.standard_normal(out=steps)
-            steps *= sigma
-        np.cumsum(steps, out=steps)
-
     values = np.empty(replicates)
-    s = np.empty((min(chunk, replicates), length + 1))
-    s[:, 0] = 0.0
-    workers = min(_usable_cpus(), len(s))
-    # One pair of the chain's block arrays per worker, allocated on this
-    # thread: glibc keeps what a worker frees in that thread's own arena.
-    scratches = queue.SimpleQueue()
-    for _ in range(workers if process == "renewal" else 0):
-        scratches.put(sampler.scratch())
+    workers = min(_usable_cpus(), replicates, 8)
+    # One row buffer (and the chain's block arrays) per worker, allocated on
+    # this thread: glibc keeps what a worker frees in that thread's own arena.
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.zeros(length + 1), sampler.scratch() if process == "renewal" else None))
+
+    def replicate(r: int) -> None:
+        # Replicate r drawn, summed and swept on a worker thread.  It calls no
+        # public function of the package, so wrappers around those (tracing)
+        # only ever run on the calling thread.
+        row, scratch = buffers.get()
+        try:
+            steps, rng = row[1:], substream(seed, r)
+            if process == "renewal":
+                sampler.row(rng, steps, scratch=scratch)
+            else:
+                rng.standard_normal(out=steps)
+                steps *= sigma
+            np.cumsum(steps, out=steps)
+            values[r] = scale * windowed_maxima(row[None, :], alpha, [window])[0, 0]
+        finally:
+            buffers.put((row, scratch))  # a row that raises must not starve the others
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, replicates, chunk):
-            block = s[: min(chunk, replicates - start)]
-            # list() reads every row's result, so a row's exception is raised here.
-            list(pool.map(draw, block, range(start, start + len(block))))
-            values[start : start + len(block)] = scale * windowed_max_batch(block, alpha, window)
+        # list() reads every replicate's result, so a replicate's exception is raised here.
+        list(pool.map(replicate, range(replicates)))
     hits = int(np.sum(values >= threshold))
     prob = hits / replicates
     ci = wilson_interval(hits, replicates)

@@ -306,6 +306,26 @@ class TestConfigHandling:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["--K", "1"], {}, "K: got 1, but K must exceed the mean return time 1.35958"),
+            ([], {"K": 1}, "K: got 1, but K must exceed the mean return time 1.35958"),
+            (["--delta", "1e-6"], {}, "delta: too small at j = 4: need u_j = 131 <= n*delta = 0.196416"),
+            ([], {"delta": 1e-6, "j": 3}, "delta: too small at j = 3: need u_j = 7 <= n*delta = 0.000129"),
+        ],
+        ids=["K-flag", "K-config", "delta-flag", "delta-config"],
+    )
+    def test_counterexample_range_errors_name_key(self, tmp_path, capsys, argv, config, message):
+        # K <= E[tau] and a window below u_j used to exit 2 as "error: ...",
+        # not as a configuration error naming the key.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(["counterexample", *argv, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}\n" == err
+
+    @pytest.mark.parametrize(
         "argv, config, key",
         [
             (["simulate", "--n", "8"], {"replicatez": 3}, "replicatez"),

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hwip.experiments import (
     renewal_identity_check,
     wilson_interval,
 )
-from hwip.holder import windowed_max_batch
+from hwip.holder import windowed_max_batch, windowed_maxima
 from hwip.models import (
     coboundary_model,
     gaussian_contrast_model,
@@ -404,17 +405,16 @@ class TestNontightness:
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     @pytest.mark.parametrize("seed", [5, 2**63 + 1])
     def test_replicates_match_per_replicate_oracle(self, chain_spec, process, seed):
-        # 11 replicates in chunks of 4: rows 4 and 8 open a chunk and the
-        # last chunk is short, so a stream skipped or reused between chunks
-        # moves a value.
+        # 11 replicates, each on the next free worker: a stream skipped or
+        # reused between replicates moves a value.
         _assert_matches_oracle(chain_spec, process, seed)
 
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_values_do_not_depend_on_cpus(self, chain_spec, monkeypatch, process, cpus):
-        # One worker, and three workers for chunks of 4 rows (more threads
-        # than the host may have cores, switching often), give the oracle's
-        # bits: two rows sharing a pair of block arrays would not.
+        # One worker, and three workers for 11 replicates (more threads than
+        # the host may have cores, switching often), give the oracle's bits:
+        # two rows sharing a row buffer or a pair of block arrays would not.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         interval = sys.getswitchinterval()
@@ -432,7 +432,7 @@ class TestNontightness:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         rep = nontightness_experiment(
-            chain_spec, K=2, j_level=4, delta=1e-3, replicates=6, seed=5, chunk=6
+            chain_spec, K=2, j_level=4, delta=1e-3, replicates=6, seed=5
         )
         length, window = rep.stats["path_length"], rep.stats["window"]
         s = np.zeros((6, length + 1))
@@ -440,16 +440,21 @@ class TestNontightness:
         values = float(length) ** (-1.0 / 3.0) * windowed_max_batch(s, 0.5 - 1.0 / 3.0, window)
         assert [v for _, v, _ in rep.replicate_rows] == values.tolist()
 
-    def test_sweeps_run_on_calling_thread(self, chain_spec, monkeypatch):
-        # Rows are drawn on worker threads; every sweep, once per chunk,
-        # stays on the caller's thread.
+    def test_workers_call_no_public_function(self, chain_spec, monkeypatch):
+        # Each replicate is drawn and swept on a worker thread, through the
+        # private windowed_maxima on its one row: the public windowed_max_batch,
+        # which tracing wraps, is never called.
         import hwip.experiments as experiments
 
-        sweeps, draws = [], []
+        batches, sweeps, draws = [], [], []
 
-        def sweep(*args):
-            sweeps.append(threading.get_ident())
+        def batch(*args):
+            batches.append(threading.get_ident())
             return windowed_max_batch(*args)
+
+        def sweep(partial_sums, *args):
+            sweeps.append((threading.get_ident(), partial_sums.shape[0]))
+            return windowed_maxima(partial_sums, *args)
 
         def stream(seed, r):
             draws.append(threading.get_ident())
@@ -457,21 +462,46 @@ class TestNontightness:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(experiments, "windowed_max_batch", sweep)
+        monkeypatch.setattr(experiments, "windowed_max_batch", batch)
+        monkeypatch.setattr(experiments, "windowed_maxima", sweep)
         monkeypatch.setattr(experiments, "substream", stream)
-        nontightness_experiment(
-            chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5, chunk=4
-        )
-        assert sweeps == [threading.get_ident()] * 3
-        assert len(draws) == 11 and threading.get_ident() not in draws
+        nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5)
+        caller = threading.get_ident()
+        assert batches == []
+        assert len(sweeps) == 11 and all(rows == 1 and ident != caller for ident, rows in sweeps)
+        assert len(draws) == 11 and caller not in draws
+
+    def test_memory_holds_a_few_rows(self, chain_spec, monkeypatch):
+        # Headline-shape chain rows (392833 partial sums, 3.1 MB) on two
+        # workers: each borrows one row buffer, so the traced peak stays
+        # below 6 rows, and 16 replicates peak at most one row above 8.  The
+        # peak moves by about a row with how the two workers' sweeps
+        # overlap, so 8 replicates are run three times and read at their
+        # highest.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        row = 8 * 392833
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                nontightness_experiment(
+                    chain_spec, K=2, j_level=4, delta=1e-3, replicates=replicates, seed=5
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        eight = max(peak(8) for _ in range(3))
+        assert eight < 6 * row
+        assert peak(16) < eight + row
 
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     def test_row_error_propagates(self, chain_spec, monkeypatch, process):
-        # Every row from the second chunk on raises on a worker, inside the
-        # chain's sampler (which holds one of the two shared pairs of block
-        # arrays while it runs) or the Gaussian fill: the run ends with the
-        # exception, after the other rows of the chunk, and nothing waits
-        # forever.
+        # Every row from replicate 4 on raises on a worker, inside the
+        # chain's sampler or the Gaussian fill (while it holds one of the two
+        # shared row buffers): the run ends with the exception, and nothing
+        # waits forever.
         import hwip.experiments as experiments
 
         class Broken:
@@ -490,7 +520,7 @@ class TestNontightness:
         def run():
             try:
                 nontightness_experiment(
-                    chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5, chunk=4,
+                    chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5,
                     process=process,
                 )
             except OverflowError as exc:
@@ -502,16 +532,10 @@ class TestNontightness:
         assert not worker.is_alive()
         assert [str(exc) for exc in caught] == ["row"]
 
-    @pytest.mark.parametrize(
-        "kwargs, name",
-        [({"chunk": 0}, "chunk"), ({"chunk": -1}, "chunk"), ({"replicates": 0}, "replicates")],
-    )
-    def test_counts_below_one_rejected(self, chain_spec, kwargs, name):
-        # chunk=-1 used to return uninitialised memory as replicate values,
-        # chunk=0 and replicates=0 to fail deep inside the loop.
-        args = dict(K=2, j_level=3, delta=0.1, replicates=5, seed=1) | kwargs
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
-            nontightness_experiment(chain_spec, **args)
+    def test_counts_below_one_rejected(self, chain_spec):
+        # replicates=0 used to fail deep inside the loop.
+        with pytest.raises(ValueError, match="^replicates must be >= 1"):
+            nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=0, seed=1)
 
     def test_report_reproducible(self, chain_spec):
         a = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=6)
@@ -520,10 +544,10 @@ class TestNontightness:
 
 
 def _assert_matches_oracle(spec, process, seed):
-    """nontightness_experiment at 11 replicates in chunks of 4 against each
-    replicate drawn on its own, the chain by stepping it, and scanned alone."""
+    """nontightness_experiment at 11 replicates against each replicate drawn
+    on its own, the chain by stepping it, and scanned alone."""
     rep = nontightness_experiment(
-        spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed, chunk=4, process=process,
+        spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed, process=process,
     )
     length, window, threshold = (rep.stats[k] for k in ("path_length", "window", "threshold"))
     alpha = 0.5 - 1.0 / spec.p
