@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -52,6 +51,7 @@ from .norms import (
 )
 from .experiments import (
     CertificationReport,
+    _subsequence_scale,
     certify_dyadic_lemma,
     certify_martingale_inequality,
     certify_mw_inequality,
@@ -281,7 +281,8 @@ def _fdd(v: dict, seed: int) -> CertificationReport:
 def _tightness(v: dict, seed: int) -> CertificationReport:
     spec = build_renewal_chain(v.pop("p"), v.pop("depth"))
     if v["epsilon"] is None:
-        v["epsilon"] = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
+        # The counterexample's threshold at K = 2; level 1 with delta = 1 passes its checks.
+        v["epsilon"] = _subsequence_scale(spec, 2, 1, 1.0)[3]
     return holder_tightness_diagnostic(gaussian_contrast_model(spec), p=spec.p, seed=seed, **v)
 
 
@@ -343,15 +344,8 @@ def _cmd_certify(args, config: dict, seed: int) -> dict:
 
 def _cmd_counterexample(args, config: dict, seed: int) -> dict:
     v = _read(_COUNTEREXAMPLE, args, config, "counterexample")
-    depth = v["depth"]
-    j_level = depth if v["j"] is None else expect_int(v, "j", minimum=1, maximum=depth)
-    spec = build_renewal_chain(v["p"], depth)
-    if not v["K"] > spec.mean_tau:
-        raise ConfigError(f"K: got {v['K']}, but K must exceed the mean return time {spec.mean_tau:.5f}")
-    u = spec.u[j_level - 1]
-    n = math.floor(float(u) ** (0.5 * (spec.p + 2.0)))  # the subsequence n_j = floor(u_j^((p+2)/2))
-    if u > n * v["delta"]:
-        raise ConfigError(f"delta: too small at j = {j_level}: need u_j = {u} <= n*delta = {n * v['delta']:g}")
+    j_level = v["depth"] if v["j"] is None else v["j"]
+    spec = build_renewal_chain(v["p"], v["depth"])
     run = dict(K=v["K"], j_level=j_level, delta=v["delta"], replicates=v["replicates"], seed=seed)
     reports = {"counterexample": nontightness_experiment(spec, **run)}
     if args.contrast:

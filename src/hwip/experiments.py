@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -30,7 +29,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import CapabilityError, CapacityError
+from .errors import CapabilityError, CapacityError, ConfigError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
     ProcessModel,
@@ -690,6 +689,24 @@ def nontightness_event_probability(
     return total
 
 
+def _subsequence_scale(
+    spec: RenewalChainSpec, K: int, j: int, delta: float
+) -> tuple[int, int, int, float]:
+    """The counterexample's scale at excursion level j: n_j =
+    floor(u_j^((p+2)/2)), the path length n_j K, the window floor(n_j delta)
+    and the threshold pi_0 / (2 K^(1/p)).  Raises ``ConfigError`` naming j, K
+    or delta, in that order, unless 1 <= j <= depth, K > E[tau] and u_j <= n_j delta."""
+    if not 1 <= j <= spec.depth:
+        raise ConfigError(f"j: must lie in 1..{spec.depth}, got {j}")
+    if not K > spec.mean_tau:
+        raise ConfigError(f"K: got {K}, but K must exceed the mean return time {spec.mean_tau:.5f}")
+    u = spec.u[j - 1]
+    n = math.floor(float(u) ** (0.5 * (spec.p + 2.0)))
+    if u > n * delta:
+        raise ConfigError(f"delta: too small at j = {j}: need u_j = {u} <= n*delta = {n * delta:g}")
+    return n, n * K, math.floor(n * delta), spec.pi0 / (2.0 * K ** (1.0 / spec.p))
+
+
 def nontightness_experiment(
     spec: RenewalChainSpec,
     K: int,
@@ -713,30 +730,20 @@ def nontightness_experiment(
     tight null sharing the same Brownian limit); the theoretical bound is
     chain-specific and omitted there.
 
-    Replicate r draws from ``substream(seed, r)``.  Each replicate is one
-    task on a pool of ``min(usable CPUs, replicates, 8)`` threads (NumPy
-    releases the interpreter lock while it fills, sums and sweeps a row).  A
-    task borrows one of the pool's row buffers, writes the row's increments
-    there in place (the chain's from its return times, by the sampler
-    ``sample_batch`` runs; no states are built), sums them in place and
-    takes the row's windowed maximum while the row is still in its core's
-    cache.  A row depends only on its own stream, and its maximum only on
-    its own row, so the values do not depend on the number of CPUs.
+    Replicate r draws from ``substream(seed, r)``.  With W = ``min(usable
+    CPUs, replicates, 8)`` worker threads (NumPy releases the interpreter lock
+    while it fills, sums and sweeps a row), worker w runs replicates w, w + W,
+    ... in its own row buffer: it writes a row's increments there in place
+    (the chain's from its return times, by the sampler ``sample_batch`` runs),
+    sums them in place and takes the row's windowed maximum while the row is
+    still in its core's cache.  A row's maximum depends only on its own
+    stream, so the values do not depend on the number of CPUs.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if K <= spec.mean_tau:
-        raise ValueError(f"K must exceed the mean return time {spec.mean_tau:.5f}")
-    if not 1 <= j_level <= spec.depth:
-        raise ValueError(f"j_level must lie in 1..{spec.depth}")
     if process not in ("renewal", "gaussian"):
         raise ValueError("process must be 'renewal' or 'gaussian'")
-    n = int(math.floor(float(spec.u[j_level - 1]) ** (0.5 * (spec.p + 2.0))))
-    if spec.u[j_level - 1] > n * delta:
-        raise ValueError(
-            f"delta too small: need u_j = {spec.u[j_level - 1]} <= n*delta = {n * delta:g}"
-        )
-    length = n * K
+    n, length, window, threshold = _subsequence_scale(spec, K, j_level, delta)
     total_steps = length * replicates
     if total_steps > STEP_BUDGET:
         raise CapacityError(
@@ -744,40 +751,34 @@ def nontightness_experiment(
             "reduce replicates, K or j_level"
         )
     alpha = _alpha(spec.p)
-    threshold = spec.pi0 / (2.0 * K ** (1.0 / spec.p))
-    window = int(math.floor(n * delta))
     scale = float(length) ** (-1.0 / spec.p)
     sigma = math.sqrt(renewal_variance_constant(spec))
     sampler = _RenewalSampler(spec, length)
 
     values = np.empty(replicates)
     workers = min(_usable_cpus(), replicates, 8)
-    # One row buffer (and the chain's block arrays) per worker, allocated on
-    # this thread: glibc keeps what a worker frees in that thread's own arena.
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put((np.zeros(length + 1), sampler.scratch() if process == "renewal" else None))
 
-    def replicate(r: int) -> None:
-        # Replicate r drawn, summed and swept on a worker thread.  It calls no
-        # public function of the package, so wrappers around those (tracing)
-        # only ever run on the calling thread.
-        row, scratch = buffers.get()
-        try:
-            steps, rng = row[1:], substream(seed, r)
+    def run(w: int, row: np.ndarray, scratch) -> None:
+        # Worker w's replicates, on its thread.  It calls no public function of
+        # the package, so wrappers around those (tracing) run on this thread only.
+        steps = row[1:]
+        for r in range(w, replicates, workers):
+            rng = substream(seed, r)
             if process == "renewal":
-                sampler.row(rng, steps, scratch=scratch)
+                sampler.row(rng, steps, scratch)
             else:
                 rng.standard_normal(out=steps)
                 steps *= sigma
             np.cumsum(steps, out=steps)
             values[r] = scale * windowed_maxima(row[None, :], alpha, [window])[0, 0]
-        finally:
-            buffers.put((row, scratch))  # a row that raises must not starve the others
 
+    # Each worker's row and block arrays are allocated on this thread: glibc
+    # keeps what a worker frees in that thread's own arena.
+    rows = [np.zeros(length + 1) for _ in range(workers)]
+    scratches = [sampler.scratch() if process == "renewal" else None for _ in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # list() reads every replicate's result, so a replicate's exception is raised here.
-        list(pool.map(replicate, range(replicates)))
+        # list() reads every worker's result, so a row's exception is raised here.
+        list(pool.map(run, range(workers), rows, scratches))
     hits = int(np.sum(values >= threshold))
     prob = hits / replicates
     ci = wilson_interval(hits, replicates)
@@ -795,13 +796,7 @@ def nontightness_experiment(
         mu_a = nontightness_event_probability(spec, n, K, delta)
         passage = _first_passage_exceed_probability(spec, n, K)
         lower = max(0.0, 1.0 - (1.0 - mu_a) ** n - passage["value"])
-        stats.update(
-            {
-                "mu_A_n": mu_a,
-                "first_passage_exceed": passage,
-                "theoretical_lower_bound": lower,
-            }
-        )
+        stats.update(mu_A_n=mu_a, first_passage_exceed=passage, theoretical_lower_bound=lower)
         half_width = (ci[1] - ci[0]) / 2.0
         passed = prob >= lower - 3.0 * half_width
         verdict = "non-tightness reproduced" if passed else "empirical probability below bound"

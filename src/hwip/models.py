@@ -73,6 +73,11 @@ __all__ = [
 # floor() in the u-sequence rule ill-defined.
 _EXACT_INT_LIMIT = 2.0 ** 53
 
+#: Most states (u_depth) a renewal chain is built with.  Its per-state
+#: arrays peak at 24 bytes a state while it is built; the largest chain
+#: the tests build, p = 2.01 at depth 6, has 2247271 states.
+_MAX_STATES = 1 << 22
+
 #: Hard cap for the regeneration dynamic program.
 DP_BUDGET = 1 << 22
 
@@ -392,7 +397,7 @@ class RenewalChainSpec:
 
     def to_dict(self) -> dict:
         """The chain's parameters and constants, without the stationary law
-        ``pi``: it has one entry per state (about 230k at p = 3, depth 5),
+        ``pi``: it has one entry per state (196418 at p = 3, depth 5),
         and ``build_renewal_chain(p, depth)`` derives it."""
         return {
             "kind": "renewal_chain",
@@ -408,8 +413,15 @@ class RenewalChainSpec:
 
 def build_renewal_chain(p: float, depth: int) -> RenewalChainSpec:
     """Construct the chain spec at the given depth, normalizing the return
-    distribution exactly: c = 1 / sum_{j <= depth} j * u_j^(-1-p/2)."""
-    u = build_u_sequence(p, depth)
+    distribution exactly: c = 1 / sum_{j <= depth} j * u_j^(-1-p/2).  Raises
+    ``ConfigError`` naming ``depth``, before any allocation, if u_depth (the
+    number of states) exceeds ``_MAX_STATES`` or the exact integers."""
+    try:
+        u = build_u_sequence(p, depth)
+    except CapacityError as exc:
+        raise ConfigError(f"depth: {exc}") from exc
+    if u[-1] > _MAX_STATES:
+        raise ConfigError(f"depth: u_{depth} = {u[-1]} states at p = {p:g}, above {_MAX_STATES}")
     j = np.arange(1, depth + 1, dtype=float)
     uf = np.asarray(u, dtype=float)
     weights = j * uf ** (-1.0 - 0.5 * p)
@@ -503,24 +515,24 @@ class _RenewalSampler:
         self,
         rng: np.random.Generator,
         out: np.ndarray,
+        scratch: tuple[np.ndarray, ...],
         y0: int | None = None,
-        scratch: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[int, int]:
         """g(Y_1), ..., g(Y_n) into ``out``: -pi_0, and 1 - pi_0 at each
         return to 0 at a time <= n.  Returns Y_0 and the first return past n.
 
         The first return is Y_0 (when >= 1); each block of return times is
         summed in place and offset by the last return before it, less one,
-        which gives the returns' slots in ``out``.  The block's arrays are
-        ``scratch`` (from ``self.scratch()``), or new ones for this row; a
-        block allocates nothing."""
+        which gives the returns' slots in ``out``.  The blocks are walked in
+        ``scratch`` (from ``self.scratch()``), whose every entry each block
+        overwrites, so successive rows may share it; a block allocates nothing."""
         if y0 is None:
             y0 = int(self.start_cdf.searchsorted(rng.random(), side="right"))
         out.fill(-self.pi0)
         last = y0
         if 1 <= last <= self.n:
             out[last - 1] = 1.0 - self.pi0
-        u, slots, counts, mask = self.scratch() if scratch is None else scratch
+        u, slots, counts, mask = scratch
         idx = u.view(np.intp)  # the uniforms are spent once counted
         while last <= self.n:
             idx[...] = _cdf_index(self.tau_cdf, rng.random(out=u), counts, mask)
@@ -534,8 +546,9 @@ class _RenewalSampler:
         return y0, last
 
     def fill(self, rngs, out: np.ndarray) -> None:
+        scratch = self.scratch()
         for row, rng in zip(out, rngs):
-            self.row(rng, row)
+            self.row(rng, row, scratch)
 
 
 def sample_renewal_path(
@@ -561,7 +574,8 @@ def sample_renewal_path(
         if not 0 <= start_state < spec.n_states:
             raise ValueError(f"start_state must lie in [0, {spec.n_states})")
     increments = np.empty(length)
-    y0, after = _RenewalSampler(spec, length).row(as_generator(seed), increments, start_state)
+    sampler = _RenewalSampler(spec, length)
+    y0, after = sampler.row(as_generator(seed), increments, sampler.scratch(), start_state)
     returns = np.append(np.flatnonzero(increments > 0) + 1, after)
     states = np.empty(length + 1, dtype=np.int64)
     states[0] = y0
@@ -701,11 +715,13 @@ class ProcessModel:
     chain: RenewalChainSpec | None = None
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if (self.chain is None) == (self.increment_fn is None):
+            raise ValueError("a model has exactly one of chain and increment_fn")
+
     @property
     def has_PT_adapted(self) -> bool:
-        if self.chain is not None:
-            return True
-        return self.increment_fn is not None and _window_span(self.increment_fn)[1] <= 0
+        return self.chain is not None or _window_span(self.increment_fn)[1] <= 0
 
     def increment_lp_norm(self, p: float) -> float:
         """Exact L^p norm of the increment function."""
@@ -942,8 +958,6 @@ def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):
         for _ in range(k):
             out = chain_transition(model.chain, out)
         return out
-    if model.increment_fn is None:
-        raise CapabilityError(f"model kind {model.kind!r} exposes no oracle")
     fn = h
     if variant == "adapted":
         if _window_span(fn)[1] > 0:

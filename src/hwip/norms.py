@@ -198,12 +198,9 @@ def require_variant(model: ProcessModel, variant: str) -> None:
         if variant != "adapted":
             raise CapabilityError("the renewal chain exposes only the adapted oracle")
         return
-    f = model.increment_fn
-    if f is None:
-        raise CapabilityError(f"model kind {model.kind!r} exposes no oracle")
     if variant == "adapted" and not model.has_PT_adapted:
         raise CapabilityError("model increments are not past-measurable")
-    if variant == "nonadapted" and not f.condexp_past(0).is_zero:
+    if variant == "nonadapted" and not model.increment_fn.condexp_past(0).is_zero:
         raise CapabilityError("nonadapted norm requires E[f | past] = 0")
 
 
@@ -287,18 +284,17 @@ class SeriesDiagnostic:
 
 def _scale_boundaries(model: ProcessModel, N: int) -> list[int]:
     """Block boundaries for the ratio test, commensurate with the model's
-    dependence scales: the chain's excursion lengths (u_j), or the window
-    width for innovation-driven models, continued dyadically.  Dyadic blocks
-    straddling an excursion scale mix the growth and saturation regimes and
-    cannot resolve the weighted series; scale-aligned blocks can.
+    dependence scales: the chain's excursion lengths (u_j, from u_1 = 1), or
+    1 and the window width for innovation-driven models, continued
+    dyadically.  Dyadic blocks straddling an excursion scale mix the growth
+    and saturation regimes and cannot resolve the weighted series;
+    scale-aligned blocks can.
     """
     if model.chain is not None:
         bounds = [int(v) for v in model.chain.u if v <= N]
     else:
-        width = model.increment_fn.width if model.increment_fn is not None else 1
+        width = model.increment_fn.width
         bounds = [1] + ([width] if 1 < width <= N else [])
-    if not bounds or bounds[0] != 1:
-        bounds = [1] + bounds
     nxt = 2 * bounds[-1]
     while nxt <= N:
         bounds.append(nxt)

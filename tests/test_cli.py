@@ -153,6 +153,9 @@ class TestConfigHandling:
             ("mw", "n_grid", [64]),
             ("mw", "n_grid", [64, 64]),
             ("mw", "n_grid", [256, 64, 64]),
+            # a chain with too many states (p = 3): it used to escape as a
+            # NumPy memory-error traceback
+            ("tightness", "depth", 6),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -207,6 +210,10 @@ class TestConfigHandling:
             (["counterexample"], "delta", 1.5),
             # a variant the model does not support (the default renewal chain)
             (["norms", "--which", "mw-norm"], "variant", "nonadapted"),
+            # a chain with too many states (p = 3), or with u_6 beyond the
+            # exact integers (p = 4)
+            (["counterexample"], "depth", 6),
+            (["counterexample", "--p", "4"], "depth", 6),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -270,6 +277,9 @@ class TestConfigHandling:
             ({"kind": "martingale_difference", "modulation": 1.5}, "modulation"),
             ({"kind": "martingale_difference", "innovation": "normal", "modulation": 0.5}, "modulation"),
             ({"kind": "martingale_plus_coboundary", "direction": "up"}, "direction"),
+            # a chain with too many states, or with u_6 beyond the exact integers
+            ({"kind": "renewal_chain", "depth": 6}, "depth"),
+            ({"kind": "renewal_chain", "p": 4, "depth": 6}, "depth"),
         ],
     )
     def test_ill_typed_model_scalar_names_key(self, tmp_path, capsys, model, key):
@@ -370,6 +380,9 @@ class TestConfigHandling:
             # a flag the run does not read
             (["norms", "--which", "weak-lp", "--J", "3"], {}, "J"),
             (["norms", "--which", "mw-norm", "--N", "64"], {}, "N"),
+            # a depth whose chain cannot be built (u_6 beyond the exact
+            # integers at p = 4); certify reads no flags, so p comes from the config
+            (["certify", "--suite", "tightness"], {"p": 4, "depth": 6}, "depth"),
         ],
     )
     def test_unknown_key_names_key(self, tmp_path, capsys, argv, config, key):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from hwip.errors import CapabilityError, CapacityError
+from hwip.errors import CapabilityError, CapacityError, ConfigError
 from hwip.experiments import (
     _K_p,
     _first_passage_exceed_probability,
@@ -391,11 +391,11 @@ class TestNontightness:
         assert rep.verdict == "contrast run"
 
     def test_K_must_exceed_mean_return(self, chain_spec):
-        with pytest.raises(ValueError, match="K must exceed"):
+        with pytest.raises(ConfigError, match="^K: got 1, but K must exceed"):
             nontightness_experiment(chain_spec, K=1, j_level=3, delta=0.1, replicates=5, seed=1)
 
     def test_delta_floor(self, chain_spec):
-        with pytest.raises(ValueError, match="delta too small"):
+        with pytest.raises(ConfigError, match="^delta: too small at j = 3"):
             nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.01, replicates=5, seed=1)
 
     def test_step_budget(self, chain_spec):
@@ -414,7 +414,7 @@ class TestNontightness:
     def test_values_do_not_depend_on_cpus(self, chain_spec, monkeypatch, process, cpus):
         # One worker, and three workers for 11 replicates (more threads than
         # the host may have cores, switching often), give the oracle's bits:
-        # two rows sharing a row buffer or a pair of block arrays would not.
+        # two workers sharing a row buffer or a set of block arrays would not.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         interval = sys.getswitchinterval()
@@ -473,7 +473,7 @@ class TestNontightness:
 
     def test_memory_holds_a_few_rows(self, chain_spec, monkeypatch):
         # Headline-shape chain rows (392833 partial sums, 3.1 MB) on two
-        # workers: each borrows one row buffer, so the traced peak stays
+        # workers: each has one row buffer, so the traced peak stays
         # below 6 rows, and 16 replicates peak at most one row above 8.  The
         # peak moves by about a row with how the two workers' sweeps
         # overlap, so 8 replicates are run three times and read at their
@@ -499,9 +499,8 @@ class TestNontightness:
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     def test_row_error_propagates(self, chain_spec, monkeypatch, process):
         # Every row from replicate 4 on raises on a worker, inside the
-        # chain's sampler or the Gaussian fill (while it holds one of the two
-        # shared row buffers): the run ends with the exception, and nothing
-        # waits forever.
+        # chain's sampler or the Gaussian fill: the run ends with the
+        # exception, and nothing waits forever.
         import hwip.experiments as experiments
 
         class Broken:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sstats
 
-from hwip.errors import CapabilityError, CapacityError
+from hwip.errors import CapabilityError, CapacityError, ConfigError
 from hwip.models import (
     NORMAL,
     RADEMACHER,
@@ -77,6 +77,20 @@ class TestRenewalChainSpec:
         assert chain_spec.c == pytest.approx(0.7263670466212371, rel=1e-12)
         assert chain_spec.mean_tau == pytest.approx(1.3595843139358748, rel=1e-12)
         assert chain_spec.pi0 == pytest.approx(0.7355189301243772, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, depth, reason",
+        [(3.0, 6, "u_6 = 17098310972037 states"), (4.0, 5, "u_5 = 1006012010 states"), (4.0, 6, "u_6 exceeds")],
+    )
+    def test_too_many_states_raise_before_allocating(self, p, depth, reason):
+        # p = 3 at depth 6 used to ask NumPy for 124 TiB of per-state arrays.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^depth: .*{reason}"):
+                build_renewal_chain(p, depth)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
 
     def test_constants_depth2(self):
         spec = build_renewal_chain(3.0, 2)
