@@ -14,8 +14,10 @@ model's kind (``hwip.models.MODEL_KINDS``); its errors read
 
 Every run embeds its configuration verbatim in the emitted report JSON,
 and writes a human-readable summary whose every number is a field of that
-JSON.  Exit codes: 0 all verdicts pass, 1 some verdict failed, 2
-configuration error.
+JSON.  Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 a run
+the engine cannot take: ``configuration error: <key>: ...`` for a key
+ill-typed, past a size budget or naming a model without the oracle the run
+needs, and ``error: ...`` for a file or an allocation that fails.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
 then the published default.  Every reduction is a sequential
@@ -35,7 +37,7 @@ from pathlib import Path
 from .config import (
     at_least, expect_int, expect_number, expect_p, fraction, list_of, one_of, positive, read,
 )
-from .errors import CapabilityError, CapacityError, ConfigError
+from .errors import CapabilityError, ConfigError
 from .holder import PolygonalPath, holder_max_exact, holder_norm_of_path
 from .models import (
     build_renewal_chain,
@@ -236,7 +238,10 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
             require_variant(model, v["variant"])
         except CapabilityError as exc:
             raise ConfigError(f"variant: {exc}") from exc
-        rep = mw_norm(model, v["variant"], p, v["J"])
+        try:
+            rep = mw_norm(model, v["variant"], p, v["J"])
+        except CapabilityError as exc:
+            raise ConfigError(f"model: {exc}") from exc
         report = CertificationReport(
             experiment="mw_norm",
             config={
@@ -252,7 +257,10 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
         if model.chain is None:
             raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
         weights = counterexample_weights(model.chain, N)
-    diag = mw_series_diagnostic(model, p, weights, N)
+    try:
+        diag = mw_series_diagnostic(model, p, weights, N)
+    except CapabilityError as exc:
+        raise ConfigError(f"model: {exc}") from exc
     report = CertificationReport(
         experiment="mw_series",
         config={"model": model.to_dict(), "p": p, "N": N, "weights": v["weights"], "seed": seed},
@@ -438,10 +446,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"error: {exc} (reduce n, depth or replicates)", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

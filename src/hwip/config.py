@@ -15,12 +15,10 @@ from functools import partial
 from .errors import ConfigError
 
 
-def expect_int(doc: dict, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+def expect_int(doc: dict, key: str, minimum: int | None = None) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if maximum is not None and not minimum <= value <= maximum:
-        raise ConfigError(f"{key}: must lie in {minimum}..{maximum}, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
     return value

@@ -1,8 +1,6 @@
-"""Exception types shared across the package."""
-
-
-class CapacityError(RuntimeError):
-    """A requested computation exceeds a configured size budget."""
+"""Exception types shared across the package.  A run the engine cannot take,
+with a key ill-typed or past a size budget, raises ``ConfigError``; its
+message starts with that key, and the CLI exits 2 on it."""
 
 
 class CapabilityError(ValueError):

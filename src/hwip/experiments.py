@@ -29,7 +29,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import CapabilityError, CapacityError, ConfigError
+from .errors import CapabilityError, ConfigError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
     ProcessModel,
@@ -167,12 +167,7 @@ def _is_mds(model: ProcessModel) -> bool:
 
 
 def _dyadic_grid(n_max: int) -> list[int]:
-    grid = []
-    n = 2
-    while n <= n_max:
-        grid.append(n)
-        n *= 2
-    return grid
+    return [1 << k for k in range(1, int(n_max).bit_length())]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +216,7 @@ def certify_dyadic_lemma(
     independent, so every maximum is the one a model-by-model sweep gives.
     """
     if n_max > 4096:
-        raise CapacityError("n_max above 4096 exceeds the exact-evaluation budget")
+        raise ConfigError(f"n_max: {n_max} is above 4096, the budget of exact evaluation")
     if not models:
         raise ValueError("models must be a nonempty list")
     alpha = _alpha(p)
@@ -694,14 +689,19 @@ def _subsequence_scale(
 ) -> tuple[int, int, int, float]:
     """The counterexample's scale at excursion level j: n_j =
     floor(u_j^((p+2)/2)), the path length n_j K, the window floor(n_j delta)
-    and the threshold pi_0 / (2 K^(1/p)).  Raises ``ConfigError`` naming j, K
-    or delta, in that order, unless 1 <= j <= depth, K > E[tau] and u_j <= n_j delta."""
+    and the threshold pi_0 / (2 K^(1/p)).  Raises ``ConfigError`` naming j, K,
+    j or delta, in that order, unless 1 <= j <= depth, K > E[tau], n_j K <=
+    ``STEP_BUDGET`` and u_j <= n_j delta."""
     if not 1 <= j <= spec.depth:
         raise ConfigError(f"j: must lie in 1..{spec.depth}, got {j}")
     if not K > spec.mean_tau:
         raise ConfigError(f"K: got {K}, but K must exceed the mean return time {spec.mean_tau:.5f}")
-    u = spec.u[j - 1]
-    n = math.floor(float(u) ** (0.5 * (spec.p + 2.0)))
+    u, expo = spec.u[j - 1], 0.5 * (spec.p + 2.0)
+    # Logs first, as u_j^expo may pass the float range; 0.5 of slack covers the floor.
+    log_steps = expo * math.log10(u) + math.log10(K)
+    n = math.floor(float(u) ** expo) if log_steps <= math.log10(STEP_BUDGET) + 0.5 else math.inf
+    if n * K > STEP_BUDGET:
+        raise ConfigError(f"j: at j = {j}, n_j*K is 10^{log_steps:.1f} steps, above {STEP_BUDGET}")
     if u > n * delta:
         raise ConfigError(f"delta: too small at j = {j}: need u_j = {u} <= n*delta = {n * delta:g}")
     return n, n * K, math.floor(n * delta), spec.pi0 / (2.0 * K ** (1.0 / spec.p))
@@ -744,11 +744,10 @@ def nontightness_experiment(
     if process not in ("renewal", "gaussian"):
         raise ValueError("process must be 'renewal' or 'gaussian'")
     n, length, window, threshold = _subsequence_scale(spec, K, j_level, delta)
-    total_steps = length * replicates
-    if total_steps > STEP_BUDGET:
-        raise CapacityError(
-            f"experiment needs {total_steps} simulated steps, budget is {STEP_BUDGET}; "
-            "reduce replicates, K or j_level"
+    if length * replicates > STEP_BUDGET:
+        raise ConfigError(
+            f"replicates: {replicates} paths of n_j*K = {length} steps take "
+            f"{length * replicates} simulated steps, above the budget of {STEP_BUDGET}"
         )
     alpha = _alpha(spec.p)
     scale = float(length) ** (-1.0 / spec.p)

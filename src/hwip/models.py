@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .config import as_given, at_least, expect_number, expect_p, number_or_null, read
-from .errors import CapabilityError, CapacityError, ConfigError
+from .errors import CapabilityError, ConfigError
 from .rng import as_generator, substreams
 
 __all__ = [
@@ -286,7 +286,9 @@ class LinearFunction:
 
     def to_table(self) -> TableFunction:
         if self.width > _MAX_TABLE_WIDTH:
-            raise CapacityError(f"window width {self.width} exceeds enumeration budget")
+            raise ConfigError(
+                f"innovation: a rademacher window {self.width} wide is above {_MAX_TABLE_WIDTH}"
+            )
         if self.is_zero:
             return TableFunction(0, np.zeros(()))
         lo, hi = self.lo, self.hi
@@ -327,7 +329,8 @@ def _window_span(fn) -> tuple[int, int]:
 def build_u_sequence(p: float, depth: int) -> tuple[int, ...]:
     """Return (u_1, ..., u_depth) with u_1 = 1, u_2 = 2 and, for k >= 2,
     u_{k+1} = floor(u_k^(p/2+1)) + 2 -- the minimal integer rule satisfying
-    the strict growth constraint u_k^(p/2+1) + 1 < u_{k+1}."""
+    the strict growth constraint u_k^(p/2+1) + 1 < u_{k+1}.  Raises
+    ``ConfigError`` naming depth once u_depth passes the exact integers."""
     if not p > 2.0:
         raise ValueError(f"p must exceed 2, got {p}")
     depth = int(depth)
@@ -336,10 +339,11 @@ def build_u_sequence(p: float, depth: int) -> tuple[int, ...]:
     u = [1, 2]
     expo = 0.5 * p + 1.0
     for k in range(2, depth):
-        power = float(u[-1]) ** expo
+        # In logs first, as u_k^expo may pass the float range.
+        power = float(u[-1]) ** expo if expo * math.log2(u[-1]) < 54.0 else math.inf
         if power >= _EXACT_INT_LIMIT:
-            raise CapacityError(
-                f"u_{k + 1} exceeds the exactly-representable integer range "
+            raise ConfigError(
+                f"depth: u_{k + 1} exceeds the exactly-representable integer range "
                 f"(u_{k} = {u[-1]}, growth exponent {expo})"
             )
         u.append(int(math.floor(power)) + 2)
@@ -416,10 +420,7 @@ def build_renewal_chain(p: float, depth: int) -> RenewalChainSpec:
     distribution exactly: c = 1 / sum_{j <= depth} j * u_j^(-1-p/2).  Raises
     ``ConfigError`` naming ``depth``, before any allocation, if u_depth (the
     number of states) exceeds ``_MAX_STATES`` or the exact integers."""
-    try:
-        u = build_u_sequence(p, depth)
-    except CapacityError as exc:
-        raise ConfigError(f"depth: {exc}") from exc
+    u = build_u_sequence(p, depth)
     if u[-1] > _MAX_STATES:
         raise ConfigError(f"depth: u_{depth} = {u[-1]} states at p = {p:g}, above {_MAX_STATES}")
     j = np.arange(1, depth + 1, dtype=float)
@@ -602,7 +603,7 @@ class ChainOracle:
         """Return the array e[0..n]."""
         n = int(n)
         if n > DP_BUDGET:
-            raise CapacityError(f"conditional-sum table length {n} exceeds budget {DP_BUDGET}")
+            raise ConfigError(f"n: conditional-sum table length {n} exceeds budget {DP_BUDGET}")
         if n < self._e.size:
             return self._e[: n + 1]
         e = np.zeros(n + 1)
@@ -739,17 +740,19 @@ class ProcessModel:
         return d
 
 
+def _for_law(fn: LinearFunction, innovation: str) -> TableFunction | LinearFunction:
+    """``fn``, tabulated over its sign patterns for rademacher innovations."""
+    return fn.to_table() if innovation == "rademacher" else fn
+
+
 def iid_model(innovation: str = "normal", scale: float = 1.0) -> ProcessModel:
     """iid increments scale * eps_t."""
     law = InnovationLaw(innovation)
-    fn: TableFunction | LinearFunction = LinearFunction((0,), (float(scale),))
-    if innovation == "rademacher":
-        fn = fn.to_table()
     return ProcessModel(
         kind="iid",
         label=f"iid_{innovation}" + (f"_scale{scale:g}" if scale != 1.0 else ""),
         innovation=law,
-        increment_fn=fn,
+        increment_fn=_for_law(LinearFunction((0,), (float(scale),)), innovation),
         params={"scale": float(scale)},
     )
 
@@ -767,9 +770,7 @@ def mds_model(innovation: str = "rademacher", modulation: float = 0.0) -> Proces
     if not 0.0 <= abs(b) < 1.0:
         raise ValueError(f"modulation: must satisfy |b| < 1, got {b}")
     if b == 0.0:
-        fn: TableFunction | LinearFunction = LinearFunction((0,), (1.0,))
-        if innovation == "rademacher":
-            fn = fn.to_table()
+        fn = _for_law(LinearFunction((0,), (1.0,)), innovation)
     else:
         if innovation != "rademacher":
             raise CapabilityError(
@@ -819,16 +820,14 @@ def coboundary_model(
         raise ValueError(f"direction: must be 'forward' or 'backward', got {direction!r}")
     g = LinearFunction(tuple(-i for i in range(len(coeffs))), coeffs)
     shift = 1 if direction == "forward" else -1
-    fn: TableFunction | LinearFunction = g.shift(shift) - g
+    fn = g.shift(shift) - g
     if mds_part is not None:
         fn = fn + LinearFunction((0,), (float(mds_part),))
-    if innovation == "rademacher":
-        fn = fn.to_table()
     return ProcessModel(
         kind="martingale_plus_coboundary",
         label=f"mcb_{innovation}_{direction}",
         innovation=law,
-        increment_fn=fn,
+        increment_fn=_for_law(fn, innovation),
         params={"g_coeffs": list(coeffs), "mds_part": mds_part, "direction": direction},
     )
 
@@ -838,14 +837,12 @@ def linear_process_model(coeffs: Iterable[float], innovation: str = "normal") ->
     truncation length L."""
     law = InnovationLaw(innovation)
     a = _finite_coeffs(coeffs, "coeffs")
-    fn: TableFunction | LinearFunction = LinearFunction(tuple(-i for i in range(len(a))), a)
-    if innovation == "rademacher":
-        fn = fn.to_table()
+    fn = LinearFunction(tuple(-i for i in range(len(a))), a)
     return ProcessModel(
         kind="linear_process",
         label=f"linear_{innovation}_L{len(a)}",
         innovation=law,
-        increment_fn=fn,
+        increment_fn=_for_law(fn, innovation),
         params={"coeffs": list(a)},
     )
 

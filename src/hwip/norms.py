@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ConfigError
 from .models import (
+    DP_BUDGET,
     ChainOracle,
     ProcessModel,
     RenewalChainSpec,
@@ -210,9 +211,12 @@ def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport
     The chain route evaluates V_{2^j} g exactly through the regeneration
     dynamic program; window-function models stay symbolic (the semigroup is
     nilpotent on finite windows, so V_n stabilizes after the window width).
+    On the chain, a J whose DP table (2^J - 1 entries) passes ``DP_BUDGET`` fails first.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
+    if model.chain is not None and (1 << min(J, 64)) - 1 > DP_BUDGET:
+        raise ConfigError(f"J: {J} takes a DP table of 2^J - 1 entries, above {DP_BUDGET}")
     require_variant(model, variant)
     oracle = None if model.chain is None else ChainOracle(model.chain)
 
@@ -321,8 +325,11 @@ def _series_verdict(terms: np.ndarray, bounds: list[int]) -> tuple[tuple[float, 
 
 
 def conditional_sum_norms(model: ProcessModel, p: float, N: int) -> np.ndarray:
-    """||E[S_k | past]||_p = ||V_k f||_p for k = 1..N (adapted models)."""
+    """||E[S_k | past]||_p = ||V_k f||_p for k = 1..N (adapted models).  On
+    the chain, an N whose DP table (N - 1 entries) passes ``DP_BUDGET`` fails first."""
     if model.chain is not None:
+        if N - 1 > DP_BUDGET:
+            raise ConfigError(f"N: {N} takes a DP table of N - 1 entries, above {DP_BUDGET}")
         return ChainOracle(model.chain).v_norms(N, p)
     if not model.has_PT_adapted:
         raise CapabilityError(f"model {model.label!r} has no conditional-sum oracle")
@@ -352,15 +359,11 @@ def mw_series_diagnostic(
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")
-    if a is None:
-        weights = np.ones(N)
-        weighted = False
-    else:
-        weights = np.asarray(a, dtype=float)
-        if weights.shape != (N,):
-            raise ValueError(f"weight sequence must have length N = {N}")
-        weighted = True
     norms = conditional_sum_norms(model, p, N)
+    weighted = a is not None
+    weights = np.asarray(a, dtype=float) if weighted else np.ones(N)
+    if weights.shape != (N,):
+        raise ValueError(f"weight sequence must have length N = {N}")
     k = np.arange(1, N + 1, dtype=float)
     terms = weights * norms / k ** 1.5
     partial = np.cumsum(terms)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hwip
+from hwip import cli
 from hwip.cli import main, render_summary
 
 
@@ -156,6 +157,8 @@ class TestConfigHandling:
             # a chain with too many states (p = 3): it used to escape as a
             # NumPy memory-error traceback
             ("tightness", "depth", 6),
+            # past the exact-evaluation budget of 4096
+            ("dyadic-lemma", "n_max", 8192),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -214,6 +217,14 @@ class TestConfigHandling:
             # exact integers (p = 4)
             (["counterexample"], "depth", 6),
             (["counterexample", "--p", "4"], "depth", 6),
+            # past a size budget: 2^31 simulated steps, and a chain's DP table
+            # of 2^22 entries (N - 1 for the series, 2^J - 1 for the norm)
+            (["counterexample"], "replicates", 100000),
+            (["norms", "--which", "mw-series"], "N", 5000000),
+            (["norms", "--which", "mw-norm"], "J", 23),
+            # u_3 = 2^1051 + 2 at p = 2100, past the float range as well as
+            # the exact integers: it was an OverflowError traceback
+            (["counterexample", "--p", "2100"], "depth", 3),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -280,6 +291,8 @@ class TestConfigHandling:
             # a chain with too many states, or with u_6 beyond the exact integers
             ({"kind": "renewal_chain", "depth": 6}, "depth"),
             ({"kind": "renewal_chain", "p": 4, "depth": 6}, "depth"),
+            # rademacher innovations tabulated over 2^23 sign patterns
+            ({"kind": "linear_process", "coeffs": [1.0] * 23, "innovation": "rademacher"}, "innovation"),
         ],
     )
     def test_ill_typed_model_scalar_names_key(self, tmp_path, capsys, model, key):
@@ -322,12 +335,18 @@ class TestConfigHandling:
             ([], {"K": 1}, "K: got 1, but K must exceed the mean return time 1.35958"),
             (["--delta", "1e-6"], {}, "delta: too small at j = 4: need u_j = 131 <= n*delta = 0.196416"),
             ([], {"delta": 1e-6, "j": 3}, "delta: too small at j = 3: need u_j = 7 <= n*delta = 0.000129"),
+            (
+                ["--p", "2100", "--depth", "2", "--replicates", "1"],
+                {},
+                "j: at j = 2, n_j*K is 10^316.7 steps, above 2147483648",
+            ),
         ],
-        ids=["K-flag", "K-config", "delta-flag", "delta-config"],
+        ids=["K-flag", "K-config", "delta-flag", "delta-config", "j-past-float-range"],
     )
     def test_counterexample_range_errors_name_key(self, tmp_path, capsys, argv, config, message):
         # K <= E[tau] and a window below u_j used to exit 2 as "error: ...",
-        # not as a configuration error naming the key.
+        # not as a configuration error naming the key; n_j = u_j^((p+2)/2)
+        # beyond the float range was an OverflowError traceback.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code = run(["counterexample", *argv, "--config", str(cfg), "--out", str(tmp_path)])
@@ -383,6 +402,20 @@ class TestConfigHandling:
             # a depth whose chain cannot be built (u_6 beyond the exact
             # integers at p = 4); certify reads no flags, so p comes from the config
             (["certify", "--suite", "tightness"], {"p": 4, "depth": 6}, "depth"),
+            # a model without what the run needs: the forward coboundary has
+            # no conditional-sum oracle, and several uniform innovations no
+            # exact L^p norm (these used to exit 2 naming no key)
+            (["norms", "--which", "mw-series"], {"model": {"kind": "martingale_plus_coboundary"}}, "model"),
+            (
+                ["norms", "--which", "mw-series"],
+                {"model": {"kind": "martingale_plus_coboundary", "innovation": "normal"}},
+                "model",
+            ),
+            (
+                ["norms", "--which", "mw-norm"],
+                {"model": {"kind": "linear_process", "coeffs": [1, 0.5], "innovation": "uniform"}},
+                "model",
+            ),
         ],
     )
     def test_unknown_key_names_key(self, tmp_path, capsys, argv, config, key):
@@ -477,6 +510,22 @@ class TestNormsCommand:
 
 
 class TestSimulateAndReport:
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--n", "8"], ["certify", "--suite", "martingale"]], ids=["simulate", "certify"]
+    )
+    def test_failed_allocation_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # An array too large for memory used to escape as a NumPy
+        # _ArrayMemoryError traceback; the runners raise one here instead.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "sample_model", no_memory)
+        monkeypatch.setitem(cli._SUITES, "martingale", (cli._SUITES["martingale"][0], no_memory))
+        code = run([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_writes_paths(self, tmp_path):
         code = run(
             ["simulate", "--n", "64", "--replicates", "3", "--seed", "4", "--out", str(tmp_path)]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from hwip.errors import CapabilityError, CapacityError, ConfigError
+from hwip.errors import CapabilityError, ConfigError
 from hwip.experiments import (
     _K_p,
     _first_passage_exceed_probability,
@@ -87,7 +87,7 @@ class TestDyadicLemmaCertificate:
             certify_dyadic_lemma([iid_model("normal")], 2, 1, 3.0, seed=1)
 
     def test_budget_guard(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="^n_max:"):
             certify_dyadic_lemma([iid_model("normal")], 1, 8192, 3.0, seed=1)
 
     @pytest.mark.parametrize("seed", [7, 2**63 + 5])
@@ -399,7 +399,7 @@ class TestNontightness:
             nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.01, replicates=5, seed=1)
 
     def test_step_budget(self, chain_spec):
-        with pytest.raises(CapacityError, match="simulated steps"):
+        with pytest.raises(ConfigError, match="^replicates:.*simulated steps"):
             nontightness_experiment(chain_spec, K=2, j_level=4, delta=1e-3, replicates=10 ** 7, seed=1)
 
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])

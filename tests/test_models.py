@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sstats
 
-from hwip.errors import CapabilityError, CapacityError, ConfigError
+from hwip.errors import CapabilityError, ConfigError
 from hwip.models import (
     NORMAL,
     RADEMACHER,
@@ -61,7 +61,7 @@ class TestUSequence:
             assert u[k] ** (2.5 / 2 + 1) + 1 < u[k + 1]
 
     def test_capacity_error_names_level(self):
-        with pytest.raises(CapacityError, match="u_7"):
+        with pytest.raises(ConfigError, match="^depth: u_7"):
             build_u_sequence(3.0, 7)
 
     def test_preconditions(self):
@@ -298,7 +298,7 @@ class TestConditionalSumOracle:
             assert np.all(np.abs(mc - table_last) <= 4 * se + 1e-11)
 
     def test_budget_error(self, chain_spec):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="^n:"):
             conditional_sum_oracle(chain_spec, (1 << 22) + 1)
 
 
