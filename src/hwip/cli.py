@@ -29,6 +29,7 @@ pure function of (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,6 +54,7 @@ from .norms import (
 )
 from .experiments import (
     CertificationReport,
+    _check_steps,
     _subsequence_scale,
     certify_dyadic_lemma,
     certify_martingale_inequality,
@@ -189,6 +191,7 @@ def _cmd_simulate(args, config: dict, seed: int) -> dict:
     v = _read(_SIMULATE, args, config, "simulate")
     model = v["model"] or model_from_dict({"kind": "iid"})
     n, replicates, p = v["n"], v["replicates"], v["p"]
+    _check_steps("n", n, replicates)
     alpha = 0.5 - 1.0 / p
     rows = []
     stats = []
@@ -256,7 +259,7 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
     if v["weights"] == "counterexample":
         if model.chain is None:
             raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
-        weights = counterexample_weights(model.chain, N)
+        weights = functools.partial(counterexample_weights, model.chain)  # built after N's check
     try:
         diag = mw_series_diagnostic(model, p, weights, N)
     except CapabilityError as exc:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import CapabilityError, ConfigError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
@@ -56,7 +55,7 @@ __all__ = [
     "renewal_identity_check",
 ]
 
-#: Total simulated steps allowed for the non-tightness experiment.
+#: Total simulated steps allowed for one sampled run (n * replicates).
 STEP_BUDGET = 1 << 31
 
 #: n at or below which the first-passage tail is computed by exact convolution.
@@ -154,6 +153,18 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _check_steps(key: str, n: int, replicates: int) -> None:
+    """Reject a run past ``STEP_BUDGET`` before it samples: a path of n
+    steps names ``key``, and ``replicates`` such paths name replicates."""
+    if n > STEP_BUDGET:
+        raise ConfigError(f"{key}: a path of {n} steps is above the budget of {STEP_BUDGET}")
+    if n * replicates > STEP_BUDGET:
+        raise ConfigError(
+            f"replicates: {replicates} paths of {n} steps take {n * replicates} "
+            f"simulated steps, above the budget of {STEP_BUDGET}"
+        )
 
 
 def _is_mds(model: ProcessModel) -> bool:
@@ -288,6 +299,7 @@ def _m_statistics(
     alpha = _alpha(p)
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
+    _check_steps("n_grid", n_max, replicates)
     h = sample_batch(model, n_max, replicates, seed)
     s = _partial_sums(h)
     return {n: windowed_max_batch(np.ascontiguousarray(s[:, : n + 1]), alpha, n) for n in n_grid}
@@ -474,6 +486,7 @@ def _ks_distance_to_normal(values: np.ndarray, scale: float) -> float:
     """One-sample KS distance between the sample and N(0, scale^2), by the
     same arithmetic as scipy's ``kstest(values, "norm", args=(0, scale))``
     and so bit-identical to its statistic."""
+    from scipy.special import ndtr  # here, not at import: scipy is most of start-up
     x = np.sort(values)
     n = x.size
     cdf = ndtr(x / scale)
@@ -495,6 +508,7 @@ def fdd_convergence_test(
     time_grid = [float(t) for t in time_grid]
     if any(t <= 0.0 or t > 1.0 for t in time_grid):
         raise ValueError("time_grid must lie in (0, 1]")
+    _check_steps("n", n, replicates)
     h = sample_batch(model, n, replicates, seed)
     s = _partial_sums(h)
     eta_hat = float(np.var(s[:, -1], ddof=1) / n)
@@ -597,6 +611,7 @@ def holder_tightness_diagnostic(
     ci_by_delta = {d: (0.0, 0.0) for d in deltas}
     # One draw at the largest n: each n's paths are its prefixes.
     n_grid = [int(n) for n in n_grid]
+    _check_steps("n_grid", max(n_grid), replicates)
     s = _partial_sums(sample_batch(model, max(n_grid), replicates, seed))
     for n in n_grid:
         windows = [max(int(math.floor(n * d)), 1) for d in deltas]
@@ -744,11 +759,7 @@ def nontightness_experiment(
     if process not in ("renewal", "gaussian"):
         raise ValueError("process must be 'renewal' or 'gaussian'")
     n, length, window, threshold = _subsequence_scale(spec, K, j_level, delta)
-    if length * replicates > STEP_BUDGET:
-        raise ConfigError(
-            f"replicates: {replicates} paths of n_j*K = {length} steps take "
-            f"{length * replicates} simulated steps, above the budget of {STEP_BUDGET}"
-        )
+    _check_steps("j", length, replicates)
     alpha = _alpha(spec.p)
     scale = float(length) ** (-1.0 / spec.p)
     sigma = math.sqrt(renewal_variance_constant(spec))

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import as_given, at_least, expect_number, expect_p, number_or_null, read
 from .errors import CapabilityError, ConfigError
@@ -84,6 +83,7 @@ DP_BUDGET = 1 << 22
 
 def gaussian_abs_moment(p: float) -> float:
     """(E|N(0,1)|^p)^(1/p) = (2^(p/2) Gamma((p+1)/2) / sqrt(pi))^(1/p)."""
+    from scipy.special import gammaln  # here, not at import: scipy is most of start-up
     log_m = 0.5 * p * math.log(2.0) + gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)
     return math.exp(log_m / p)
 
@@ -285,14 +285,14 @@ class LinearFunction:
         )
 
     def to_table(self) -> TableFunction:
-        if self.width > _MAX_TABLE_WIDTH:
-            raise ConfigError(
-                f"innovation: a rademacher window {self.width} wide is above {_MAX_TABLE_WIDTH}"
-            )
         if self.is_zero:
             return TableFunction(0, np.zeros(()))
         lo, hi = self.lo, self.hi
         width = hi - lo + 1
+        if width > _MAX_TABLE_WIDTH:
+            raise ConfigError(
+                f"innovation: a rademacher window {width} wide is above {_MAX_TABLE_WIDTH}"
+            )
         table = np.zeros((2,) * width)
         for o, c in zip(self.offsets, self.coeffs):
             shape = [1] * width

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -344,15 +344,16 @@ def conditional_sum_norms(model: ProcessModel, p: float, N: int) -> np.ndarray:
 def mw_series_diagnostic(
     model: ProcessModel,
     p: float,
-    a: Sequence[float] | np.ndarray | None,
+    a: Sequence[float] | np.ndarray | Callable[[int], np.ndarray] | None,
     N: int,
 ) -> SeriesDiagnostic:
     """Evaluate the weighted conditional-sum series up to N.
 
-    ``a`` is a weight sequence (a_1 .. a_N); absent weights mean a_n = 1,
-    which gives the unweighted summability condition.  Partial sums are
-    tabulated at dyadic n; the verdict comes from a block ratio test with
-    blocks aligned to the model's dependence scales (see
+    ``a`` is a weight sequence (a_1 .. a_N), or a function of N that returns
+    one, called after the norms (so after their budget check); absent
+    weights mean a_n = 1, which gives the unweighted summability condition.
+    Partial sums are tabulated at dyadic n; the verdict comes from a block
+    ratio test with blocks aligned to the model's dependence scales (see
     ``_scale_boundaries``), and is a statement about the computed range
     only.
     """
@@ -361,6 +362,8 @@ def mw_series_diagnostic(
         raise ValueError("N must be >= 2")
     norms = conditional_sum_norms(model, p, N)
     weighted = a is not None
+    if callable(a):
+        a = a(N)
     weights = np.asarray(a, dtype=float) if weighted else np.ones(N)
     if weights.shape != (N,):
         raise ValueError(f"weight sequence must have length N = {N}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,17 @@ class TestConfigHandling:
             ("tightness", "depth", 6),
             # past the exact-evaluation budget of 4096
             ("dyadic-lemma", "n_max", 8192),
+            # past the budget of 2^31 simulated steps: one path of max(n_grid)
+            # or n steps, or replicates such paths (n_grid [64, 256, 1024] and
+            # n = 2048 by default); checked before anything is sampled
+            ("martingale", "n_grid", [64, 2**31 + 1]),
+            ("mw", "n_grid", [64, 2**31 + 1]),
+            ("tightness", "n_grid", [2**31 + 1]),
+            ("fdd", "n", 2**31 + 1),
+            ("martingale", "replicates", 10**7),
+            ("mw", "replicates", 10**7),
+            ("tightness", "replicates", 10**7),
+            ("fdd", "replicates", 10**7),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -225,6 +237,9 @@ class TestConfigHandling:
             # u_3 = 2^1051 + 2 at p = 2100, past the float range as well as
             # the exact integers: it was an OverflowError traceback
             (["counterexample", "--p", "2100"], "depth", 3),
+            # past the budget of 2^31 simulated steps, before anything is sampled
+            (["simulate"], "n", 2**31 + 1),
+            (["simulate", "--n", "1048576"], "replicates", 4096),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -293,6 +308,11 @@ class TestConfigHandling:
             ({"kind": "renewal_chain", "p": 4, "depth": 6}, "depth"),
             # rademacher innovations tabulated over 2^23 sign patterns
             ({"kind": "linear_process", "coeffs": [1.0] * 23, "innovation": "rademacher"}, "innovation"),
+            # two nonzero coeffs 23 apart: the table spans the zeros between them
+            (
+                {"kind": "linear_process", "coeffs": [1.0] + [0.0] * 21 + [1.0], "innovation": "rademacher"},
+                "innovation",
+            ),
         ],
     )
     def test_ill_typed_model_scalar_names_key(self, tmp_path, capsys, model, key):
@@ -596,6 +616,42 @@ def test_cli_import_leaves_out_scipy_stats():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_scipy_stays_out_of_start_up_and_the_headline_run(tmp_path):
+    # scipy.special is imported by the two functions that evaluate it; the
+    # non-tightness run (chain and Gaussian null) calls neither.
+    src = str(Path(hwip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "def loaded(): return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        "import hwip; seen = [loaded()]\n"
+        "import hwip.cli; seen.append(loaded())\n"
+        "argv = ['counterexample', '--p', '3', '--depth', '3', '--j', '3', '--delta', '0.5',\n"
+        "        '--replicates', '2', '--contrast', '--out', sys.argv[1]]\n"
+        "assert hwip.cli.main(argv) == 0\n"
+        "print(seen + [loaded()])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_mw_series_budget_comes_before_the_weights(tmp_path, capsys):
+    # counterexample_weights would hold three arrays of N = 5000000 (40 MB each).
+    argv = ["norms", "--which", "mw-series", "--N", "5000000", "--weights", "counterexample"]
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert tracemalloc.get_traced_memory()[1] < 1 << 24
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "configuration error: N:" in err and "Traceback" not in err
 
 
 def test_render_summary_is_pure_function_of_doc():

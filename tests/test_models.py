@@ -49,6 +49,25 @@ def test_gaussian_abs_moment_matches_quadrature():
         assert gaussian_abs_moment(p) == pytest.approx(num ** (1 / p), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_gaussian_abs_moment_is_scipy_gammaln_bit_for_bit(p):
+    from scipy.special import gammaln
+
+    log_m = 0.5 * p * math.log(2.0) + gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)
+    assert gaussian_abs_moment(p) == math.exp(log_m / p)
+
+
+def test_rademacher_table_span_is_checked_before_allocating():
+    # Two nonzero coefficients 23 innovations apart span a 2^23-entry table.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^innovation: a rademacher window 23 wide"):
+            LinearFunction((-11, 11), (1.0, 1.0)).to_table()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
 class TestUSequence:
     def test_known_values(self):
         assert build_u_sequence(3.0, 2) == (1, 2)
