@@ -24,7 +24,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -34,13 +34,14 @@ from .models import (
     ProcessModel,
     RenewalChainSpec,
     _RenewalSampler,
+    _sampler,
     apply_PT,
     chain_transition,
     renewal_variance_constant,
     sample_batch,
 )
 from .norms import empirical_weak_lp, mw_norm
-from .rng import substream
+from .rng import substream, substreams
 
 __all__ = [
     "CertificationReport",
@@ -57,6 +58,12 @@ __all__ = [
 
 #: Total simulated steps allowed for one sampled run (n * replicates).
 STEP_BUDGET = 1 << 31
+
+#: Partial sums held per chunk: the sampled suites draw and sweep their
+#: paths in chunks of about this many, and the dyadic lemma sweeps its
+#: stacked rows in such chunks, so a chunk's buffer and the temporaries of
+#: its sweep stay near 8 MB whatever the number of paths.
+_CHUNK_SUMS = 1 << 20
 
 #: n at or below which the first-passage tail is computed by exact convolution.
 EXACT_CONVOLUTION_LIMIT = 1 << 12
@@ -92,7 +99,7 @@ class CertificationReport:
     verdict: str
     passed: bool
     body: dict = field(default_factory=dict)
-    replicate_rows: list = field(default_factory=list)
+    replicate_rows: Iterable = field(default_factory=list)
     replicate_columns: tuple = ()
 
     @property
@@ -155,16 +162,39 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_steps(key: str, n: int, replicates: int) -> None:
+def _check_steps(key: str, n: int, replicates: int, count_key: str = "replicates") -> None:
     """Reject a run past ``STEP_BUDGET`` before it samples: a path of n
-    steps names ``key``, and ``replicates`` such paths name replicates."""
+    steps names ``key``, and ``replicates`` such paths name ``count_key``."""
     if n > STEP_BUDGET:
         raise ConfigError(f"{key}: a path of {n} steps is above the budget of {STEP_BUDGET}")
     if n * replicates > STEP_BUDGET:
         raise ConfigError(
-            f"replicates: {replicates} paths of {n} steps take {n * replicates} "
+            f"{count_key}: {replicates} paths of {n} steps take {n * replicates} "
             f"simulated steps, above the budget of {STEP_BUDGET}"
         )
+
+
+def _partial_sum_chunks(model: ProcessModel, n: int, replicates: int, seed: int):
+    """Yield ``(start, s)``: the partial sums ``S_0 .. S_n`` of replicates
+    start, start + 1, ... as the rows of ``s``, row r drawn from
+    ``substream(seed, r)`` as ``sample_batch`` draws it.
+
+    Every ``s`` is a view of one buffer of about ``_CHUNK_SUMS`` sums whose
+    column 0 is zero, refilled for the next chunk: a caller takes what it
+    needs from a chunk before it asks for the next.  Each row is summed in
+    place, in order, so its sums are those of ``np.cumsum`` on its
+    increments.
+    """
+    sampler = _sampler(model, n)
+    rows = max(1, min(replicates, _CHUNK_SUMS // (n + 1)))
+    buf = np.zeros((rows, n + 1))
+    rngs = substreams(seed, replicates)
+    for start in range(0, replicates, rows):
+        s = buf[: min(rows, replicates - start)]
+        steps = s[:, 1:]
+        sampler.fill(rngs, steps)
+        np.cumsum(steps, axis=1, out=steps)
+        yield start, s
 
 
 def _is_mds(model: ProcessModel) -> bool:
@@ -186,10 +216,6 @@ def _dyadic_grid(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-#: Partial sums the dyadic lemma sweeps per call: the stacked rows are
-#: evaluated in chunks of about this many, so the temporaries of a sweep
-#: stay near 8 MB whatever the number of paths.
-_LEMMA_SUMS = 1 << 20
 #: Relative tolerance of the dyadic lemma: a path violates the recursion
 #: when its left side exceeds the right side times ``1 + _LEMMA_REL_TOL``.
 _LEMMA_REL_TOL = 1e-9
@@ -222,7 +248,7 @@ def certify_dyadic_lemma(
 
     Model m's paths are ``sample_batch(model, n_max, paths_per_model,
     seed + m)``.  The models' paths are stacked and each n is swept over all
-    of them at once, in chunks of about ``_LEMMA_SUMS`` partial sums (one
+    of them at once, in chunks of about ``_CHUNK_SUMS`` partial sums (one
     chunk for ``certify --suite all``'s 600 paths of 256 steps); rows are
     independent, so every maximum is the one a model-by-model sweep gives.
     """
@@ -234,6 +260,7 @@ def certify_dyadic_lemma(
     grid = _dyadic_grid(n_max)
     if not grid:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    _check_steps("n_max", n_max, len(models) * paths_per_model, "paths_per_model")
     h = np.empty((len(models) * paths_per_model, n_max))
     for m, model in enumerate(models):
         h[m * paths_per_model : (m + 1) * paths_per_model] = sample_batch(
@@ -241,7 +268,7 @@ def certify_dyadic_lemma(
         )
     slacks = {}
     for n in grid:
-        step = max(1, _LEMMA_SUMS // (n + 1))
+        step = max(1, _CHUNK_SUMS // (n + 1))
         chunks = [_lemma_sides(h[i : i + step, :n], alpha) for i in range(0, len(h), step)]
         lhs, rhs = (np.concatenate(side) for side in zip(*chunks))
         slack = rhs - lhs
@@ -300,9 +327,13 @@ def _m_statistics(
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
     _check_steps("n_grid", n_max, replicates)
-    h = sample_batch(model, n_max, replicates, seed)
-    s = _partial_sums(h)
-    return {n: windowed_max_batch(np.ascontiguousarray(s[:, : n + 1]), alpha, n) for n in n_grid}
+    stats = {n: np.empty(replicates) for n in n_grid}
+    for start, s in _partial_sum_chunks(model, n_max, replicates, seed):
+        for n, values in stats.items():
+            values[start : start + len(s)] = windowed_max_batch(
+                np.ascontiguousarray(s[:, : n + 1]), alpha, n
+            )
+    return stats
 
 
 def _slope_grid(n_grid: Sequence[int]) -> list[int]:
@@ -509,17 +540,22 @@ def fdd_convergence_test(
     if any(t <= 0.0 or t > 1.0 for t in time_grid):
         raise ValueError("time_grid must lie in (0, 1]")
     _check_steps("n", n, replicates)
-    h = sample_batch(model, n, replicates, seed)
-    s = _partial_sums(h)
-    eta_hat = float(np.var(s[:, -1], ddof=1) / n)
+    # Only the sums the statistics read are kept: S_k and S_(k+1) around
+    # each n t, and S_n; row c of ``kept`` is column cols[c] of the paths.
+    floors = [min(int(math.floor(n * t)), n - 1) for t in time_grid]
+    cols = sorted({n, *floors, *(k + 1 for k in floors)})
+    at = {col: c for c, col in enumerate(cols)}
+    kept = np.empty((len(cols), replicates))
+    for start, s in _partial_sum_chunks(model, n, replicates, seed):
+        kept[:, start : start + len(s)] = s[:, cols].T
+    eta_hat = float(np.var(kept[at[n]], ddof=1) / n)
     eta_se = eta_hat * math.sqrt(2.0 / max(replicates - 1, 1))
     fdd = []
     sqrt_n = math.sqrt(n)
-    for t in time_grid:
-        nt = n * t
-        k = min(int(math.floor(nt)), n - 1)
-        frac = nt - k
-        values = (s[:, k] + frac * (s[:, k + 1] - s[:, k])) / sqrt_n
+    for t, k in zip(time_grid, floors):
+        frac = n * t - k
+        lo, hi = kept[at[k]], kept[at[k + 1]]
+        values = (lo + frac * (hi - lo)) / sqrt_n
         scale = math.sqrt(eta_hat * t)
         ks = _ks_distance_to_normal(values, scale)
         fdd.append([t, ks])
@@ -612,11 +648,15 @@ def holder_tightness_diagnostic(
     # One draw at the largest n: each n's paths are its prefixes.
     n_grid = [int(n) for n in n_grid]
     _check_steps("n_grid", max(n_grid), replicates)
-    s = _partial_sums(sample_batch(model, max(n_grid), replicates, seed))
+    windows = {n: [max(int(math.floor(n * d)), 1) for d in deltas] for n in n_grid}
+    maxima = {n: np.empty((len(deltas), replicates)) for n in n_grid}
+    for start, s in _partial_sum_chunks(model, max(n_grid), replicates, seed):
+        for n, out in maxima.items():
+            out[:, start : start + len(s)] = windowed_maxima(
+                np.ascontiguousarray(s[:, : n + 1]), alpha, windows[n]
+            )
     for n in n_grid:
-        windows = [max(int(math.floor(n * d)), 1) for d in deltas]
-        maxima = windowed_maxima(np.ascontiguousarray(s[:, : n + 1]), alpha, windows)
-        for d, w, row in zip(deltas, windows, maxima):
+        for d, w, row in zip(deltas, windows[n], maxima[n]):
             stat = row * n ** (-1.0 / p)
             k = int(np.sum(stat > epsilon))
             prob = k / replicates
@@ -749,7 +789,7 @@ def nontightness_experiment(
     CPUs, replicates, 8)`` worker threads (NumPy releases the interpreter lock
     while it fills, sums and sweeps a row), worker w runs replicates w, w + W,
     ... in its own row buffer: it writes a row's increments there in place
-    (the chain's from its return times, by the sampler ``sample_batch`` runs),
+    (the chain's from its return times, by the chain's ``_RenewalSampler``),
     sums them in place and takes the row's windowed maximum while the row is
     still in its core's cache.  A row's maximum depends only on its own
     stream, so the values do not depend on the number of CPUs.

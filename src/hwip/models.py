@@ -902,7 +902,8 @@ class _WindowSampler:
 def _sampler(model: ProcessModel, n: int) -> _RenewalSampler | _WindowSampler:
     """The model's constants for paths of length n, set up once.  Its
     ``fill(rngs, out)`` draws row i of ``out`` from the i-th generator of
-    ``rngs``, each before the next generator is taken."""
+    ``rngs``, each before the next generator is taken, and takes no more
+    than ``len(out)``: successive fills may share one iterator."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -925,7 +926,9 @@ def sample_batch(model: ProcessModel, n: int, replicates: int, seed: int) -> np.
 
     The rows come from one re-keyed generator (``substreams``), the model's
     constants are set up once, and the window kinds draw and evaluate a
-    chunk of rows at a time, so the result is the only full-size array.
+    chunk of rows at a time.  The dyadic lemma samples through it; the
+    other sampled suites fill bounded chunks of rows from the same sampler
+    (``experiments._partial_sum_chunks``), so their rows are this matrix's.
     """
     sampler = _sampler(model, n)
     out = np.empty((replicates, sampler.n))

@@ -555,6 +555,20 @@ class TestSimulateAndReport:
         assert csv_text[0] == "replicate,t,partial_sum"
         assert len(csv_text) == 1 + 3 * 65
 
+    def test_simulate_keeps_partial_sums_in_arrays(self, tmp_path):
+        # 40 paths of 2000 steps: kept as one CSV row tuple per sum, they
+        # peaked at 10.6 MB (about 130 bytes a step); kept as arrays and
+        # expanded while the CSV is written, the run stays below 4 MB.
+        argv = ["simulate", "--n", "2000", "--replicates", "40", "--seed", "4"]
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--out", str(tmp_path)]) == 0
+            assert tracemalloc.get_traced_memory()[1] < 1 << 22
+        finally:
+            tracemalloc.stop()
+        csv_text = (tmp_path / "replicates_simulate.csv").read_text().splitlines()
+        assert len(csv_text) == 1 + 40 * 2001
+
     def test_renewal_report_leaves_out_stationary_law(self, tmp_path):
         # A depth-5 chain has 230k states; its stationary law, derived from
         # p and depth, made this report 4.7 MB.
@@ -652,6 +666,21 @@ def test_mw_series_budget_comes_before_the_weights(tmp_path, capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert "configuration error: N:" in err and "Traceback" not in err
+
+
+def test_dyadic_lemma_budget_comes_before_the_paths(tmp_path, capsys):
+    # Three models' 10^9 paths of 256 steps would ask for 5.6 TiB.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths_per_model": 10**9}))
+    argv = ["certify", "--suite", "dyadic-lemma", "--config", str(cfg), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        assert tracemalloc.get_traced_memory()[1] < 1 << 24
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "configuration error: paths_per_model:" in err and "Traceback" not in err
 
 
 def test_render_summary_is_pure_function_of_doc():

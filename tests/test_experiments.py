@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+import hwip.experiments as experiments
 from hwip.errors import CapabilityError, ConfigError
 from hwip.experiments import (
     _K_p,
@@ -113,8 +114,6 @@ class TestDyadicLemmaCertificate:
         # At 1000 partial sums per sweep, the 120 rows are swept in chunks
         # of 333 rows at n = 2 down to 7 rows at n = 128, the last chunk
         # short; the report is the one of a single batch per n.
-        import hwip.experiments as experiments
-
         models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
         whole = certify_dyadic_lemma(models, 40, 200, 3.0, seed=7).to_json()
         sizes = []
@@ -123,7 +122,7 @@ class TestDyadicLemmaCertificate:
             sizes.append(partial_sums.size)
             return windowed_max_batch(partial_sums, alpha, max_lag)
 
-        monkeypatch.setattr(experiments, "_LEMMA_SUMS", 1000)
+        monkeypatch.setattr(experiments, "_CHUNK_SUMS", 1000)
         monkeypatch.setattr(experiments, "windowed_max_batch", sweep)
         assert certify_dyadic_lemma(models, 40, 200, 3.0, seed=7).to_json() == whole
         chunks = [len(range(0, 120, 1000 // (n + 1))) for n in (2, 4, 8, 16, 32, 64, 128)]
@@ -444,8 +443,6 @@ class TestNontightness:
         # Each replicate is drawn and swept on a worker thread, through the
         # private windowed_maxima on its one row: the public windowed_max_batch,
         # which tracing wraps, is never called.
-        import hwip.experiments as experiments
-
         batches, sweeps, draws = [], [], []
 
         def batch(*args):
@@ -501,8 +498,6 @@ class TestNontightness:
         # Every row from replicate 4 on raises on a worker, inside the
         # chain's sampler or the Gaussian fill: the run ends with the
         # exception, and nothing waits forever.
-        import hwip.experiments as experiments
-
         class Broken:
             def random(self, *args, **kwargs):
                 raise OverflowError("row")
@@ -592,3 +587,60 @@ class TestSharedStatistics:
         both = _m_statistics(model, 4.0, [16, 64], 30, seed=29)
         only_small = _m_statistics(model, 4.0, [16], 30, seed=29)
         np.testing.assert_array_equal(both[16], only_small[16])
+
+
+class TestPartialSumChunks:
+    """The sampled suites draw their paths through one bounded buffer of
+    ``_CHUNK_SUMS`` partial sums; where its chunks end must not show."""
+
+    # 37 replicates of 65 sums: 4 rows a chunk at 300 sums (the last chunk
+    # holds one row), one row a chunk at 1.
+    RUNS = {
+        "fdd": lambda: fdd_convergence_test(mds_model("rademacher"), 64, 37, [0.25, 0.5, 1.0], seed=3),
+        "martingale": lambda: certify_martingale_inequality(
+            mds_model("rademacher"), 4.0, [16, 64], 37, seed=3
+        ).to_json(),
+        "mw": lambda: certify_mw_inequality(
+            renewal_model(3.0, 4), "adapted", 3.0, [16, 64], 37, seed=3
+        ).to_json(),
+        "tightness": lambda: holder_tightness_diagnostic(
+            iid_model("normal"), 3.0, [32, 64], 37, [0.5, 0.25], 0.55, seed=3
+        ).to_json(),
+    }
+
+    @pytest.mark.parametrize("budget", [300, 1])
+    @pytest.mark.parametrize("suite", RUNS)
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch, suite, budget):
+        whole = self.RUNS[suite]()
+        monkeypatch.setattr(experiments, "_CHUNK_SUMS", budget)
+        assert self.RUNS[suite]() == whole
+
+    @pytest.mark.parametrize("model", [mds_model("rademacher"), renewal_model(3.0, 4)], ids=lambda m: m.label)
+    def test_chunks_are_the_partial_sums_of_sample_batch(self, monkeypatch, model):
+        monkeypatch.setattr(experiments, "_CHUNK_SUMS", 300)
+        expected = np.cumsum(sample_batch(model, 64, 37, 3), axis=1)
+        starts = []
+        for start, s in experiments._partial_sum_chunks(model, 64, 37, 3):
+            starts.append(start)
+            assert not s[:, 0].any()
+            np.testing.assert_array_equal(s[:, 1:], expected[start : start + len(s)])
+        assert starts == list(range(0, 37, 4))
+
+    def test_fdd_memory_holds_a_few_chunks(self):
+        # At n = 2048 a chunk holds 511 rows (8.4 MB).  The increments and
+        # partial sums of 4000 whole paths took 131 MB; streamed, the run
+        # stays below three chunks, and 4000 replicates peak less than a
+        # chunk above 1000.
+        chunk = 8 * (experiments._CHUNK_SUMS // 2049) * 2049
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                fdd_convergence_test(mds_model("rademacher"), 2048, replicates, [0.25, 0.5, 1.0], seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        most = peak(4000)
+        assert most < 3 * chunk
+        assert most < peak(1000) + chunk
