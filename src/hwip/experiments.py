@@ -28,6 +28,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from ._special import ndtr
 from .errors import CapabilityError, ConfigError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
@@ -38,7 +39,6 @@ from .models import (
     apply_PT,
     chain_transition,
     renewal_variance_constant,
-    sample_batch,
 )
 from .norms import empirical_weak_lp, mw_norm
 from .rng import substream, substreams
@@ -247,46 +247,63 @@ def certify_dyadic_lemma(
     reported.
 
     Model m's paths are ``sample_batch(model, n_max, paths_per_model,
-    seed + m)``.  The models' paths are stacked and each n is swept over all
-    of them at once, in chunks of about ``_CHUNK_SUMS`` partial sums (one
-    chunk for ``certify --suite all``'s 600 paths of 256 steps); rows are
-    independent, so every maximum is the one a model-by-model sweep gives.
+    seed + m)``.  The models' paths are stacked and filled in chunks of
+    ``_CHUNK_SUMS // (n_max + 1)`` rows, which may span models (each model
+    draws from its own sampler and stream, so its rows are those of
+    ``sample_batch``); each chunk is swept at every n of the grid and
+    reduced to per-model minima and counts before the next is drawn.
+    ``certify --suite all``'s 600 paths of 256 steps are one chunk.  Rows
+    are independent, so every maximum is the one a model-by-model sweep
+    gives, and the minima do not depend on where the chunks end.
     """
     if n_max > 4096:
         raise ConfigError(f"n_max: {n_max} is above 4096, the budget of exact evaluation")
     if not models:
         raise ValueError("models must be a nonempty list")
+    if paths_per_model < 1:
+        raise ValueError(f"paths_per_model must be >= 1, got {paths_per_model}")
     alpha = _alpha(p)
     grid = _dyadic_grid(n_max)
     if not grid:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     _check_steps("n_max", n_max, len(models) * paths_per_model, "paths_per_model")
-    h = np.empty((len(models) * paths_per_model, n_max))
-    for m, model in enumerate(models):
-        h[m * paths_per_model : (m + 1) * paths_per_model] = sample_batch(
-            model, n_max, paths_per_model, seed + m
-        )
-    slacks = {}
-    for n in grid:
-        step = max(1, _CHUNK_SUMS // (n + 1))
-        chunks = [_lemma_sides(h[i : i + step, :n], alpha) for i in range(0, len(h), step)]
-        lhs, rhs = (np.concatenate(side) for side in zip(*chunks))
-        slack = rhs - lhs
-        rel = slack / np.where(rhs > 0, rhs, 1.0)
-        slacks[n] = (slack, rel, lhs > rhs * (1.0 + _LEMMA_REL_TOL))
-    per_point = []
-    for m, model in enumerate(models):
-        rows = slice(m * paths_per_model, (m + 1) * paths_per_model)
-        for n, (slack, rel, bad) in slacks.items():
-            per_point.append(
-                {
-                    "model": model.label,
-                    "n": n,
-                    "min_slack": float(slack[rows].min()),
-                    "min_relative_slack": float(rel[rows].min()),
-                    "violations": int(bad[rows].sum()),
-                }
-            )
+    per = paths_per_model
+    total = len(models) * per
+    samplers = [_sampler(model, n_max) for model in models]
+    streams = [substreams(seed + m, per) for m in range(len(models))]
+    shape = (len(models), len(grid))
+    min_slack, min_rel = np.full(shape, np.inf), np.full(shape, np.inf)
+    violations = np.zeros(shape, dtype=np.int64)
+    rows = max(1, min(total, _CHUNK_SUMS // (n_max + 1)))
+    buf = np.empty((rows, n_max))
+    for start in range(0, total, rows):
+        h = buf[: min(rows, total - start)]
+        stop = start + len(h)
+        parts = []  # (model, rows of h) for each model the chunk holds
+        for m in range(start // per, (stop - 1) // per + 1):
+            part = slice(max(start, m * per) - start, min(stop, (m + 1) * per) - start)
+            samplers[m].fill(streams[m], h[part])
+            parts.append((m, part))
+        for j, n in enumerate(grid):
+            lhs, rhs = _lemma_sides(h[:, :n], alpha)
+            slack = rhs - lhs
+            rel = slack / np.where(rhs > 0, rhs, 1.0)
+            bad = lhs > rhs * (1.0 + _LEMMA_REL_TOL)
+            for m, part in parts:
+                min_slack[m, j] = np.minimum(min_slack[m, j], slack[part].min())
+                min_rel[m, j] = np.minimum(min_rel[m, j], rel[part].min())
+                violations[m, j] += bad[part].sum()
+    per_point = [
+        {
+            "model": model.label,
+            "n": n,
+            "min_slack": float(min_slack[m, j]),
+            "min_relative_slack": float(min_rel[m, j]),
+            "violations": int(violations[m, j]),
+        }
+        for m, model in enumerate(models)
+        for j, n in enumerate(grid)
+    ]
     worst = min(point["min_slack"] for point in per_point)
     worst_rel = min(point["min_relative_slack"] for point in per_point)
     violations = sum(point["violations"] for point in per_point)
@@ -516,8 +533,7 @@ def certify_mw_inequality(
 def _ks_distance_to_normal(values: np.ndarray, scale: float) -> float:
     """One-sample KS distance between the sample and N(0, scale^2), by the
     same arithmetic as scipy's ``kstest(values, "norm", args=(0, scale))``
-    and so bit-identical to its statistic."""
-    from scipy.special import ndtr  # here, not at import: scipy is most of start-up
+    and so bit-identical to its statistic (``ndtr`` is scipy's, ported)."""
     x = np.sort(values)
     n = x.size
     cdf = ndtr(x / scale)

@@ -633,8 +633,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_scipy_stays_out_of_start_up_and_the_headline_run(tmp_path):
-    # scipy.special is imported by the two functions that evaluate it; the
-    # non-tightness run (chain and Gaussian null) calls neither.
+    # No module of hwip imports scipy: ndtr and gammaln are ported.
     src = str(Path(hwip.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
@@ -653,6 +652,44 @@ def test_scipy_stays_out_of_start_up_and_the_headline_run(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_runs_without_scipy_write_the_same_reports(tmp_path):
+    # A scipy package that raises ImportError, first on the path, stands
+    # for an install without SciPy.  certify --suite all (fdd evaluates
+    # ndtr) and mw-norm of normal innovations (gammaln) must run and write
+    # the report bytes of a run on the usual path.
+    stub = tmp_path / "stub"
+    (stub / "scipy").mkdir(parents=True)
+    (stub / "scipy" / "__init__.py").write_text('raise ImportError("no scipy here")\n')
+    src = str(Path(hwip.__file__).resolve().parents[1])
+    certify = tmp_path / "certify.json"
+    certify.write_text(json.dumps(
+        {"paths_per_model": 20, "n_max": 32, "n_grid": [32, 64], "replicates": 40, "n": 256}
+    ))
+    norms = tmp_path / "norms.json"
+    norms.write_text(json.dumps({"model": {"kind": "iid", "innovation": "normal"}}))
+    runs = {
+        "certify": ["certify", "--suite", "all", "--config", str(certify)],
+        "mw-norm": ["norms", "--which", "mw-norm", "--config", str(norms)],
+    }
+    code = "import sys, hwip.cli; sys.exit(hwip.cli.main(sys.argv[1:]))"
+    reports = {}
+    for path in ([str(stub), src], [src]):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([*path, os.environ.get("PYTHONPATH", "")])}
+        blocked = subprocess.run([sys.executable, "-c", "import scipy"], env=env, capture_output=True)
+        assert (blocked.returncode != 0) == (len(path) == 2)
+        for name, argv in runs.items():
+            out = tmp_path / str(len(path)) / name
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv, "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode in (0, 1) and "Traceback" not in done.stderr, done.stderr
+            reports[len(path), name] = {f.name: f.read_bytes() for f in sorted(out.glob("report_*.json"))}
+    assert len(reports[2, "certify"]) == 5 and len(reports[2, "mw-norm"]) == 1
+    for name in runs:
+        assert reports[2, name] == reports[1, name]
 
 
 def test_mw_series_budget_comes_before_the_weights(tmp_path, capsys):

@@ -110,10 +110,15 @@ class TestDyadicLemmaCertificate:
         with pytest.raises(ValueError, match="models"):
             certify_dyadic_lemma([], 2, 8, 3.0, seed=1)
 
+    def test_no_paths_is_rejected(self):
+        # Zero paths would pass with infinite slack.
+        with pytest.raises(ValueError, match="paths_per_model"):
+            certify_dyadic_lemma([iid_model("normal")], 0, 8, 3.0, seed=1)
+
     def test_chunked_sweeps_equal_one_batch(self, monkeypatch):
-        # At 1000 partial sums per sweep, the 120 rows are swept in chunks
-        # of 333 rows at n = 2 down to 7 rows at n = 128, the last chunk
-        # short; the report is the one of a single batch per n.
+        # At 1000 partial sums per chunk, the 120 rows of 200 steps are
+        # drawn in 30 chunks of 4 rows, each swept at the 7 n of the grid;
+        # the report is the one of a single batch.
         models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
         whole = certify_dyadic_lemma(models, 40, 200, 3.0, seed=7).to_json()
         sizes = []
@@ -125,8 +130,50 @@ class TestDyadicLemmaCertificate:
         monkeypatch.setattr(experiments, "_CHUNK_SUMS", 1000)
         monkeypatch.setattr(experiments, "windowed_max_batch", sweep)
         assert certify_dyadic_lemma(models, 40, 200, 3.0, seed=7).to_json() == whole
-        chunks = [len(range(0, 120, 1000 // (n + 1))) for n in (2, 4, 8, 16, 32, 64, 128)]
-        assert len(sizes) == 2 * sum(chunks) and max(sizes) <= 1000
+        chunks = len(range(0, 120, 1000 // 201))
+        assert len(sizes) == 2 * 7 * chunks and max(sizes) <= 1000
+
+    @pytest.mark.parametrize("budget", [1, 300, 50 * 65])
+    def test_chunk_ends_do_not_matter(self, monkeypatch, budget):
+        # 3 x 37 rows of 64 steps in chunks of 1, 4 and 50 rows: at 4 and
+        # 50 rows, chunks hold the end of one model's rows and the start
+        # of the next's.
+        models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
+        whole = certify_dyadic_lemma(models, 37, 64, 3.0, seed=11).to_json()
+        monkeypatch.setattr(experiments, "_CHUNK_SUMS", budget)
+        assert certify_dyadic_lemma(models, 37, 64, 3.0, seed=11).to_json() == whole
+
+    def test_default_run_is_one_chunk(self, monkeypatch):
+        # certify --suite dyadic-lemma's 3 x 200 paths of 256 steps: both
+        # sides at each of the 8 n of the grid, one sweep each.
+        calls = []
+
+        def sweep(partial_sums, alpha, max_lag):
+            calls.append(len(partial_sums))
+            return windowed_max_batch(partial_sums, alpha, max_lag)
+
+        monkeypatch.setattr(experiments, "windowed_max_batch", sweep)
+        models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
+        certify_dyadic_lemma(models, 200, 256, 3.0, seed=7)
+        assert calls == [600] * 16
+
+    def test_memory_holds_a_chunk_not_the_paths(self, monkeypatch):
+        # At 2^14 sums a chunk (128 KB, 252 rows of 64 steps), 3 x 2000
+        # paths (2.9 MB of increments, all held at once before the chunks)
+        # peak less than two chunks above 3 x 500 paths: the chunk, its
+        # sweeps and the samplers' blocks do not grow with the paths.
+        monkeypatch.setattr(experiments, "_CHUNK_SUMS", 1 << 14)
+        models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
+
+        def peak(paths):
+            tracemalloc.start()
+            try:
+                certify_dyadic_lemma(models, paths, 64, 3.0, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) - peak(500) < 2 * 8 * (1 << 14)
 
     def test_report_is_deterministic(self):
         models = [mds_model("rademacher")]

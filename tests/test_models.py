@@ -320,6 +320,23 @@ class TestConditionalSumOracle:
         with pytest.raises(ConfigError, match="^n:"):
             conditional_sum_oracle(chain_spec, (1 << 22) + 1)
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_zero_start_is_the_recurrence_bit_for_bit(self, depth):
+        # The class docstring's recurrence, evaluated as written and summed
+        # over j in order, against a table extended lazily and one built at once.
+        spec = build_renewal_chain(3.0, depth)
+        pi0 = spec.pi0
+        direct = [0.0]
+        for k in range(1, 301):
+            direct.append(sum(
+                q * ((k >= u) - pi0 * min(u, k) + (k >= u) * direct[k - u if k >= u else 0])
+                for u, q in zip(spec.u, spec.tau_probs)
+            ))
+        lazy = ChainOracle(spec)
+        assert lazy.zero_start(10).tobytes() == np.array(direct[:11]).tobytes()
+        assert lazy.zero_start(300).tobytes() == np.array(direct).tobytes()
+        assert ChainOracle(spec).zero_start(300).tobytes() == np.array(direct).tobytes()
+
 
 class TestChainOperator:
     def test_transition_of_g(self, chain_spec):
