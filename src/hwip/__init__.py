@@ -6,7 +6,7 @@ norm estimators, and Monte Carlo certification experiments for the
 associated maximal inequalities and (non-)tightness behavior.
 """
 
-from .errors import CapabilityError, ConfigError
+from .config import ConfigError
 from .holder import (
     HolderStatistic,
     PolygonalPath,

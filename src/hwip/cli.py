@@ -16,8 +16,9 @@ Every run embeds its configuration verbatim in the emitted report JSON,
 and writes a human-readable summary whose every number is a field of that
 JSON.  Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 a run
 the engine cannot take: ``configuration error: <key>: ...`` for a key
-ill-typed, past a size budget or naming a model without the oracle the run
-needs, and ``error: ...`` for a file or an allocation that fails.
+ill-typed, past a size budget, or naming a model or variant without the
+oracle the run needs (each a ``ConfigError``, raised where it is checked),
+and ``error: ...`` for a file or an allocation that fails.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
 then the published default.  Every reduction is a sequential
@@ -36,11 +37,12 @@ import sys
 from pathlib import Path
 
 from .config import (
-    at_least, expect_int, expect_number, expect_p, fraction, list_of, one_of, positive, read,
+    ConfigError, at_least, expect_int, expect_number, expect_p, fraction, list_of, one_of,
+    positive, read,
 )
-from .errors import CapabilityError, ConfigError
 from .holder import PolygonalPath, holder_max_exact, holder_norm_of_path
 from .models import (
+    _VARIANTS,
     build_renewal_chain,
     gaussian_contrast_model,
     iid_model,
@@ -49,9 +51,7 @@ from .models import (
     renewal_model,
     sample_model,
 )
-from .norms import (
-    counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic, require_variant,
-)
+from .norms import counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic
 from .experiments import (
     CertificationReport,
     _check_steps,
@@ -65,7 +65,6 @@ from .experiments import (
 )
 from .rng import DEFAULT_SEED, substream
 
-_VARIANTS = ("adapted", "nonadapted")
 _WEIGHTS = ("ones", "counterexample")
 
 
@@ -250,14 +249,7 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
         return {"weak_lp": report}
     model = v["model"] or model_from_dict({"kind": "renewal_chain"})
     if which == "mw-norm":
-        try:
-            require_variant(model, v["variant"])
-        except CapabilityError as exc:
-            raise ConfigError(f"variant: {exc}") from exc
-        try:
-            rep = mw_norm(model, v["variant"], p, v["J"])
-        except CapabilityError as exc:
-            raise ConfigError(f"model: {exc}") from exc
+        rep = mw_norm(model, v["variant"], p, v["J"])
         report = CertificationReport(
             experiment="mw_norm",
             config={
@@ -273,10 +265,7 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
         if model.chain is None:
             raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
         weights = functools.partial(counterexample_weights, model.chain)  # built after N's check
-    try:
-        diag = mw_series_diagnostic(model, p, weights, N)
-    except CapabilityError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    diag = mw_series_diagnostic(model, p, weights, N)
     report = CertificationReport(
         experiment="mw_series",
         config={"model": model.to_dict(), "p": p, "N": N, "weights": v["weights"], "seed": seed},

@@ -1,4 +1,4 @@
-"""Run-configuration specs: typed checks and the one reader.
+"""Run-configuration specs: typed checks, the one reader and the one error.
 
 A spec maps each key a run reads to ``(default, check)``.  A check is called
 as ``check(doc, key)`` and returns ``doc[key]`` checked (and converted), or
@@ -12,7 +12,11 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .errors import ConfigError
+
+class ConfigError(ValueError):
+    """A run the engine cannot take: a key ill-typed, past a size budget, or
+    naming a model or variant without the oracle the run needs.  The message
+    starts with that key, and the CLI exits 2 on it."""
 
 
 def expect_int(doc: dict, key: str, minimum: int | None = None) -> int:

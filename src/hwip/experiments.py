@@ -29,7 +29,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from ._special import ndtr
-from .errors import CapabilityError, ConfigError
+from .config import ConfigError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
     ProcessModel,
@@ -40,7 +40,7 @@ from .models import (
     chain_transition,
     renewal_variance_constant,
 )
-from .norms import empirical_weak_lp, mw_norm
+from .norms import empirical_weak_lp, mw_norm, require_variant
 from .rng import substream, substreams
 
 __all__ = [
@@ -67,6 +67,9 @@ _CHUNK_SUMS = 1 << 20
 
 #: n at or below which the first-passage tail is computed by exact convolution.
 EXACT_CONVOLUTION_LIMIT = 1 << 12
+
+#: Largest error ``renewal_identity_check`` allows in S_{T_k} = k - pi_0 T_k.
+_IDENTITY_TOL = 1e-10
 
 
 #: The power-bound constant K(P_T) of the semigroup; 2 covers every
@@ -379,7 +382,7 @@ def certify_martingale_inequality(
     martingale-difference model: the fitted log-log slope of the ratio must
     stay within ``_MARTINGALE_SLOPES``."""
     if not _is_mds(model):
-        raise CapabilityError(f"model {model.label!r} is not a martingale difference")
+        raise ConfigError(f"model: model {model.label!r} is not a martingale difference")
     m_norm = model.increment_lp_norm(p)
     stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
     per_point = []
@@ -422,8 +425,6 @@ def _bracket_first_term(model: ProcessModel, variant: str, p: float) -> float:
     """||f - U^{+-} P f||_p: U^{-1} for the adapted semigroup, U for the
     nonadapted one (the direction that inverts P on its domain)."""
     if model.chain is not None:
-        if variant != "adapted":
-            raise CapabilityError("the renewal chain exposes only the adapted oracle")
         spec = model.chain
         g = spec.g_vector()
         pg = chain_transition(spec, g)
@@ -467,6 +468,7 @@ def certify_mw_inequality(
     fitted log-log slope of the ratio within ``_MW_SLOPES`` and every ratio
     at most 1.
     """
+    require_variant(model, variant)
     k_p = _K_p(p)
     first = _bracket_first_term(model, variant, p)
     stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
@@ -889,18 +891,13 @@ def nontightness_experiment(
     )
 
 
-def renewal_identity_check(
-    states: np.ndarray,
-    increments: np.ndarray,
-    pi0: float,
-    tol: float = 1e-10,
-) -> dict:
+def renewal_identity_check(states: np.ndarray, increments: np.ndarray, pi0: float) -> dict:
     """Verify S_{T_k} = k - pi_0 T_k at every observed return time T_k.
 
     The k-th visit of 0 after time zero closes the k-th excursion, whose
     increment sum telescopes to 1 - pi_0 tau_k; the identity is exact along
     every path.  Both sides are accumulated in extended precision so the
-    tolerance tests the identity itself, not cumsum roundoff.
+    tolerance ``_IDENTITY_TOL`` tests the identity itself, not cumsum roundoff.
     """
     states = np.asarray(states)
     s = np.cumsum(np.asarray(increments, dtype=np.longdouble))
@@ -911,8 +908,8 @@ def renewal_identity_check(
     errors = np.abs(s[t_k - 1] - (k - np.longdouble(pi0) * t_k))
     max_err = float(errors.max())
     return {
-        "passed": bool(max_err <= tol),
+        "passed": bool(max_err <= _IDENTITY_TOL),
         "n_regenerations": int(t_k.size),
         "max_abs_error": max_err,
-        "tol": tol,
+        "tol": _IDENTITY_TOL,
     }

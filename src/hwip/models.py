@@ -36,8 +36,9 @@ from typing import Iterable
 import numpy as np
 
 from ._special import gammaln
-from .config import as_given, at_least, expect_number, expect_p, number_or_null, read
-from .errors import CapabilityError, ConfigError
+from .config import (
+    ConfigError, as_given, at_least, expect_number, expect_p, number_or_null, one_of, read,
+)
 from .rng import as_generator, substreams
 
 __all__ = [
@@ -80,6 +81,9 @@ _MAX_STATES = 1 << 22
 
 #: Hard cap for the regeneration dynamic program.
 DP_BUDGET = 1 << 22
+
+#: The two conditional-expectation semigroups (see the module docstring).
+_VARIANTS = ("adapted", "nonadapted")
 
 
 def gaussian_abs_moment(p: float) -> float:
@@ -205,7 +209,7 @@ class TableFunction:
 
     def lp_norm(self, p: float, law: InnovationLaw) -> float:
         if law.name != "rademacher":
-            raise CapabilityError("tabulated window functions require rademacher innovations")
+            raise ConfigError("model: tabulated window functions require rademacher innovations")
         return float(np.mean(np.abs(self.table) ** p) ** (1.0 / p))
 
     def eval_windows(self, bits: np.ndarray, n: int) -> np.ndarray:
@@ -280,8 +284,8 @@ class LinearFunction:
             return self.to_table().lp_norm(p, law)
         if self.width == 1:
             return abs(self.coeffs[0]) * law.abs_moment(p)
-        raise CapabilityError(
-            f"no exact L^p norm for linear functions of several {law.name} innovations"
+        raise ConfigError(
+            f"model: no exact L^p norm for linear functions of several {law.name} innovations"
         )
 
     def to_table(self) -> TableFunction:
@@ -774,7 +778,7 @@ def mds_model(innovation: str = "rademacher", modulation: float = 0.0) -> Proces
         fn = _for_law(LinearFunction((0,), (1.0,)), innovation)
     else:
         if innovation != "rademacher":
-            raise CapabilityError(
+            raise ConfigError(
                 "modulation: a nonzero modulation requires rademacher innovations, "
                 f"got {innovation!r}"
             )
@@ -950,11 +954,10 @@ def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if variant not in ("adapted", "nonadapted"):
-        raise ValueError(f"unknown variant {variant!r}")
+    one_of(_VARIANTS)({"variant": variant}, "variant")
     if model.chain is not None:
         if variant != "adapted":
-            raise CapabilityError("the renewal chain exposes only the adapted oracle")
+            raise ConfigError("variant: the renewal chain exposes only the adapted oracle")
         out = np.asarray(h, dtype=float)
         for _ in range(k):
             out = chain_transition(model.chain, out)
@@ -962,7 +965,9 @@ def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):
     fn = h
     if variant == "adapted":
         if _window_span(fn)[1] > 0:
-            raise CapabilityError("adapted oracle requires a function of present and past innovations")
+            raise ConfigError(
+                "variant: adapted oracle requires a function of present and past innovations"
+            )
         for _ in range(k):
             if fn.is_zero:
                 return ZERO_FUNCTION

@@ -10,9 +10,9 @@ The dyadic norm of an increment function f under a semigroup P is
     sum_{j >= 0} 2^(-j/2) * || sum_{i < 2^j} P^i f ||_p ,
 
 computed exactly where the model exposes a closed-form oracle; a model
-without one raises ``CapabilityError``.  A martingale-difference f
-(P f = 0) collapses every inner sum to f itself, so the norm equals
-(2 + sqrt 2) ||f||_p.
+without one, or a variant it lacks, raises ``ConfigError`` naming ``model``
+or ``variant``.  A martingale-difference f (P f = 0) collapses every inner
+sum to f itself, so the norm equals (2 + sqrt 2) ||f||_p.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
+from .config import ConfigError, one_of
 from .models import (
     DP_BUDGET,
+    _VARIANTS,
     ChainOracle,
     ProcessModel,
     RenewalChainSpec,
@@ -193,16 +194,18 @@ class MwNormReport:
 
 
 def require_variant(model: ProcessModel, variant: str) -> None:
-    """Raise ``CapabilityError`` unless ``mw_norm`` can take the ``variant``
-    norm of the model's increments."""
+    """Raise ``ConfigError`` naming ``variant`` unless it is one of
+    ``_VARIANTS`` and ``mw_norm`` can take that norm of the model's
+    increments."""
+    one_of(_VARIANTS)({"variant": variant}, "variant")
     if model.chain is not None:
         if variant != "adapted":
-            raise CapabilityError("the renewal chain exposes only the adapted oracle")
+            raise ConfigError("variant: the renewal chain exposes only the adapted oracle")
         return
     if variant == "adapted" and not model.has_PT_adapted:
-        raise CapabilityError("model increments are not past-measurable")
+        raise ConfigError("variant: model increments are not past-measurable")
     if variant == "nonadapted" and not model.increment_fn.condexp_past(0).is_zero:
-        raise CapabilityError("nonadapted norm requires E[f | past] = 0")
+        raise ConfigError("variant: nonadapted norm requires E[f | past] = 0")
 
 
 def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport:
@@ -211,13 +214,14 @@ def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport
     The chain route evaluates V_{2^j} g exactly through the regeneration
     dynamic program; window-function models stay symbolic (the semigroup is
     nilpotent on finite windows, so V_n stabilizes after the window width).
-    On the chain, a J whose DP table (2^J - 1 entries) passes ``DP_BUDGET`` fails first.
+    The variant is checked first; then, on the chain, a J whose DP table
+    (2^J - 1 entries) passes ``DP_BUDGET`` fails before the table is built.
     """
+    require_variant(model, variant)
     if J < 0:
         raise ValueError("J must be >= 0")
     if model.chain is not None and (1 << min(J, 64)) - 1 > DP_BUDGET:
         raise ConfigError(f"J: {J} takes a DP table of 2^J - 1 entries, above {DP_BUDGET}")
-    require_variant(model, variant)
     oracle = None if model.chain is None else ChainOracle(model.chain)
 
     # V_{2^j} f stabilizes once P^i f vanishes: the norm of the last V_n is
@@ -332,7 +336,7 @@ def conditional_sum_norms(model: ProcessModel, p: float, N: int) -> np.ndarray:
             raise ConfigError(f"N: {N} takes a DP table of N - 1 entries, above {DP_BUDGET}")
         return ChainOracle(model.chain).v_norms(N, p)
     if not model.has_PT_adapted:
-        raise CapabilityError(f"model {model.label!r} has no conditional-sum oracle")
+        raise ConfigError(f"model: model {model.label!r} has no conditional-sum oracle")
     norms = np.empty(N)
     sums = semigroup_partial_sums(model, "adapted", model.increment_fn)
     for k, v in enumerate(islice(sums, N)):

@@ -240,6 +240,8 @@ class TestConfigHandling:
             # past the budget of 2^31 simulated steps, before anything is sampled
             (["simulate"], "n", 2**31 + 1),
             (["simulate", "--n", "1048576"], "replicates", 4096),
+            # the variant is named before the DP budget of J
+            (["norms", "--which", "mw-norm", "--J", "23"], "variant", "nonadapted"),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 import hwip.experiments as experiments
-from hwip.errors import CapabilityError, ConfigError
+from hwip.config import ConfigError
 from hwip.experiments import (
     _K_p,
     _first_passage_exceed_probability,
@@ -185,7 +185,7 @@ class TestDyadicLemmaCertificate:
 class TestMartingaleInequality:
     def test_rejects_non_mds(self):
         model = coboundary_model([0.5], "rademacher", mds_part=1.0)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ConfigError, match="^model:"):
             certify_martingale_inequality(model, 4.0, [16, 32], 10, seed=1)
 
     def test_zero_increment_degenerates(self):
@@ -250,8 +250,19 @@ class TestMwInequality:
         assert rep.stats["slope"] < -0.15
 
     def test_chain_nonadapted_capability_error(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ConfigError, match="^variant:"):
             certify_mw_inequality(renewal_model(3.0, 4), "nonadapted", 3.0, [16], 5, seed=1)
+
+    @pytest.mark.parametrize(
+        "model", [renewal_model(3.0, 4), iid_model("rademacher")], ids=["chain", "uncentered"]
+    )
+    def test_variant_refused_before_sampling(self, monkeypatch, model):
+        def spy(*args, **kwargs):
+            raise AssertionError("sampled before the variant was checked")
+
+        monkeypatch.setattr(experiments, "_m_statistics", spy)
+        with pytest.raises(ConfigError, match="^variant:"):
+            certify_mw_inequality(model, "nonadapted", 3.0, [16, 32], 5, seed=1)
 
 
 def _eta(model, n, replicates, seed):
@@ -613,6 +624,7 @@ class TestRenewalIdentity:
             states, inc = sample_renewal_path(chain_spec, 5000, seed)
             out = renewal_identity_check(states, inc, chain_spec.pi0)
             assert out["passed"], out
+            assert out["tol"] == 1e-10
 
     def test_first_return_from_zero(self, chain_spec):
         states, inc = sample_renewal_path(chain_spec, 400, 3, start_state=0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sstats
 
-from hwip.errors import CapabilityError, ConfigError
+from hwip.config import ConfigError
 from hwip.models import (
     NORMAL,
     RADEMACHER,
@@ -470,7 +470,7 @@ class TestApplyPT:
     def test_adapted_requires_past_measurable(self):
         model = iid_model("rademacher")
         future = LinearFunction((1,), (1.0,)).to_table()
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ConfigError, match="^variant:"):
             apply_PT(model, "adapted", future, 1)
 
     def test_nonadapted_annihilates_past_measurable(self):
@@ -527,8 +527,13 @@ class TestApplyPT:
 
     def test_chain_nonadapted_unsupported(self):
         model = renewal_model(3.0, 4)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ConfigError, match="^variant:"):
             apply_PT(model, "nonadapted", model.chain.g_vector(), 1)
+
+    def test_unknown_variant_rejected(self):
+        model = iid_model("rademacher")
+        with pytest.raises(ConfigError, match=r"^variant: must be one of \('adapted', 'nonadapted'\)"):
+            apply_PT(model, "sideways", model.increment_fn, 1)
 
 
 class TestSampleModel:

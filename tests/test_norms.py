@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hwip.errors import CapabilityError
+from hwip.config import ConfigError
 from hwip.models import (
     LinearFunction,
     chain_lp_norm,
@@ -24,6 +24,7 @@ from hwip.norms import (
     empirical_weak_lp,
     mw_norm,
     mw_series_diagnostic,
+    require_variant,
     weak_lp_max_bound_check,
 )
 from hwip.rng import substream
@@ -162,15 +163,23 @@ class TestMwNorm:
         # No exact L^p norm for a linear function of several uniform
         # innovations, and no estimate stands in for it.
         model = linear_process_model([1.0, 0.5, 0.25], "uniform")
-        with pytest.raises(CapabilityError, match="no exact L"):
+        with pytest.raises(ConfigError, match="^model: no exact L"):
             mw_norm(model, "adapted", 3.0, J=0)
 
     def test_chain_nonadapted_rejected(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ConfigError, match="^variant:"):
             mw_norm(renewal_model(3.0, 4), "nonadapted", 3.0, J=2)
 
+    @pytest.mark.parametrize("model", [iid_model(), renewal_model(3.0, 4)], ids=["iid", "chain"])
+    def test_unknown_variant_rejected(self, model):
+        message = r"^variant: must be one of \('adapted', 'nonadapted'\), got 'sideways'$"
+        with pytest.raises(ConfigError, match=message):
+            require_variant(model, "sideways")
+        with pytest.raises(ConfigError, match=message):
+            mw_norm(model, "sideways", 3.0, J=2)
+
     def test_nonadapted_requires_centered_increments(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ConfigError, match="^variant:"):
             mw_norm(iid_model("rademacher"), "nonadapted", 3.0, J=2)
 
     def test_nonadapted_route_on_anticipating_model(self):
