@@ -8,7 +8,6 @@ associated maximal inequalities and (non-)tightness behavior.
 
 from .config import ConfigError
 from .holder import (
-    HolderStatistic,
     PolygonalPath,
     dyadic_lower,
     dyadic_upper,

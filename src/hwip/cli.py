@@ -12,13 +12,15 @@ key or flag that the run does not read exits 2 and names itself.  The
 model's kind (``hwip.models.MODEL_KINDS``); its errors read
 ``model.<key>: ...``.
 
-Every run embeds its configuration verbatim in the emitted report JSON,
-and writes a human-readable summary whose every number is a field of that
-JSON.  Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 a run
-the engine cannot take: ``configuration error: <key>: ...`` for a key
-ill-typed, past a size budget, or naming a model or variant without the
-oracle the run needs (each a ``ConfigError``, raised where it is checked),
-and ``error: ...`` for a file or an allocation that fails.
+Every run writes ``report_<name>.json``, which embeds its configuration
+verbatim, and ``summary_<name>.txt``, a human-readable summary whose every
+number is a field of that JSON, plus ``replicates_<name>.csv`` when the
+report has replicate rows.  Exit codes: 0 all verdicts pass, 1 some
+verdict failed, 2 a run the engine cannot take: ``configuration error:
+<key>: ...`` for a key ill-typed, past a size budget, or naming a model or
+variant without the oracle the run needs (each a ``ConfigError``, raised
+where it is checked), and ``error: ...`` for a file or an allocation that
+fails.
 
 Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
 then the published default.  Every reduction is a sequential
@@ -53,6 +55,7 @@ from .models import (
 )
 from .norms import counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic
 from .experiments import (
+    STEP_BUDGET,
     CertificationReport,
     _check_steps,
     _subsequence_scale,
@@ -150,11 +153,10 @@ _COUNTEREXAMPLE = {
 }
 
 
-def _write_outputs(out_dir: Path, name: str, report: CertificationReport, fmt: str) -> None:
+def _write_outputs(out_dir: Path, name: str, report: CertificationReport) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt in ("json", "both"):
-        (out_dir / f"report_{name}.json").write_text(report.to_json() + "\n")
-    if fmt in ("csv", "both") and report.replicate_rows:
+    (out_dir / f"report_{name}.json").write_text(report.to_json() + "\n")
+    if report.replicate_rows:
         with open(out_dir / f"replicates_{name}.csv", "w", newline="") as fp:
             report.write_replicates_csv(fp)
     summary = render_summary(report.to_dict())
@@ -186,20 +188,6 @@ def render_summary(doc: dict, indent: str = "") -> str:
 # Each command returns its reports by file name; ``main`` writes them.
 
 
-class _PathRows:
-    """The CSV rows ``(replicate, t, S_t)`` of each replicate's partial sums,
-    made only while they are read: a sum takes 8 bytes in its array and
-    well over 100 as a row tuple."""
-
-    def __init__(self, paths: list):
-        self.paths = paths
-
-    def __iter__(self):
-        for r, partial in enumerate(self.paths):
-            for t, value in enumerate(map(float, partial)):
-                yield r, t, value
-
-
 def _cmd_simulate(args, config: dict, seed: int) -> dict:
     v = _read(_SIMULATE, args, config, "simulate")
     model = v["model"] or model_from_dict({"kind": "iid"})
@@ -211,11 +199,10 @@ def _cmd_simulate(args, config: dict, seed: int) -> dict:
     for r in range(replicates):
         inc = sample_model(model, n, substream(seed, r))
         path = PolygonalPath.from_increments(inc)
-        m_stat = holder_max_exact(path, alpha)
         stats.append(
             {
                 "replicate": r,
-                "holder_max": m_stat.value,
+                "holder_max": holder_max_exact(path, alpha),
                 "holder_norm": holder_norm_of_path(path, alpha),
                 "terminal_sum": float(path.partial_sums[-1]),
             }
@@ -227,7 +214,11 @@ def _cmd_simulate(args, config: dict, seed: int) -> dict:
         verdict="simulated",
         passed=True,
         body={"per_point": stats},
-        replicate_rows=_PathRows(paths),
+        # The rows (replicate, t, S_t) are made only while the CSV is written:
+        # a sum takes 8 bytes in its array and well over 100 as a row tuple.
+        replicate_rows=(
+            (r, t, value) for r, partial in enumerate(paths) for t, value in enumerate(map(float, partial))
+        ),
         replicate_columns=("replicate", "t", "partial_sum"),
     )
     return {"simulate": report}
@@ -238,6 +229,8 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
     v = _read(_NORMS[which], args, config, f"norms --which {which}")
     p = v["p"]
     if which == "weak-lp":
+        if v["samples"] > STEP_BUDGET:
+            raise ConfigError(f"samples: {v['samples']} draws are above the budget of {STEP_BUDGET}")
         samples = substream(seed, 0).uniform(size=v["samples"]) ** (-1.0 / p)
         report = CertificationReport(
             experiment="weak_lp_pareto",
@@ -408,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="master seed (overrides HWIP_SEED and config)")
         sp.add_argument("--out", default="hwip_out", help="output directory")
-        sp.add_argument("--format", choices=("json", "csv", "both"), default="both")
         flags = {k: default for spec in specs for k, (default, _) in spec.items() if k != "model"}
         for key, default in flags.items():
             sp.add_argument(
@@ -446,7 +438,7 @@ def main(argv=None) -> int:
             return _cmd_report(args, config, out)
         reports = args.func(args, config, seed)
         for name, report in reports.items():
-            _write_outputs(out, name, report, args.format)
+            _write_outputs(out, name, report)
         return 0 if all(report.passed for report in reports.values()) else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from ._special import ndtr
 from .config import ConfigError
 from .holder import pairwise_coarsen, windowed_max_batch, windowed_maxima
 from .models import (
+    DP_BUDGET,
     ProcessModel,
     RenewalChainSpec,
     _RenewalSampler,
@@ -384,18 +385,18 @@ def certify_martingale_inequality(
     if not _is_mds(model):
         raise ConfigError(f"model: model {model.label!r} is not a martingale difference")
     m_norm = model.increment_lp_norm(p)
-    stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
+    m_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
     per_point = []
     ratios = []
     rows = []
-    for n, values in stats_by_n.items():
+    for n, values in m_by_n.items():
         est = empirical_weak_lp(values, p)
         # degenerate m = 0: every statistic vanishes and the ratio is read as 0
         ratio = est.root / (n ** (1.0 / p) * m_norm) if m_norm > 0 else 0.0
         ratios.append(ratio)
         per_point.append({"n": n, "weak_lp_root": est.root, "ratio": ratio})
         rows.extend((n, r, float(v)) for r, v in enumerate(values))
-    slope = _fit_slope(list(stats_by_n), ratios) if m_norm > 0 else 0.0
+    slope = _fit_slope(list(m_by_n), ratios) if m_norm > 0 else 0.0
     passed = _MARTINGALE_SLOPES[0] <= slope <= _MARTINGALE_SLOPES[1]
     stats = {
         "slope": slope,
@@ -408,7 +409,7 @@ def certify_martingale_inequality(
         config={
             "model": model.label,
             "p": p,
-            "n_grid": sorted(stats_by_n),
+            "n_grid": sorted(m_by_n),
             "replicates": replicates,
             "seed": seed,
             "slope_bounds": list(_MARTINGALE_SLOPES),
@@ -429,18 +430,11 @@ def _bracket_first_term(model: ProcessModel, variant: str, p: float) -> float:
         g = spec.g_vector()
         pg = chain_transition(spec, g)
         # (U^-1 P g)(omega) = (P g)(Y_-1); expectation over the stationary
-        # pair (Y_-1, Y_0): from state m' >= 1 the chain moves to m' - 1,
-        # from 0 it jumps to u_j - 1.
+        # pair (Y_-1, Y_0).  From a state m' >= 1 the chain moves to m' - 1
+        # and (P g)(m') = g(m' - 1), so only its jump from 0 to u_j - 1 counts.
         total = 0.0
-        for m_prev in range(spec.n_states):
-            w = spec.pi[m_prev]
-            if w == 0.0:
-                continue
-            if m_prev >= 1:
-                total += w * abs(g[m_prev - 1] - pg[m_prev]) ** p
-            else:
-                for u_j, q in zip(spec.u, spec.tau_probs):
-                    total += w * q * abs(g[u_j - 1] - pg[0]) ** p
+        for u_j, q in zip(spec.u, spec.tau_probs):
+            total += spec.pi[0] * q * abs(g[u_j - 1] - pg[0]) ** p
         return float(total ** (1.0 / p))
     f = model.increment_fn
     pf = apply_PT(model, variant, f, 1)
@@ -471,16 +465,21 @@ def certify_mw_inequality(
     require_variant(model, variant)
     k_p = _K_p(p)
     first = _bracket_first_term(model, variant, p)
-    stats_by_n = _m_statistics(model, p, _slope_grid(n_grid), replicates, seed)
-    r_max = max(int(math.ceil(math.log2(n + 1))) for n in stats_by_n)
-    norm_report = mw_norm(model, variant, p, J=max(r_max - 1, 12))
+    grid = _slope_grid(n_grid)
+    # The bracket's norm terms come before the paths: at n they reach level
+    # r - 1, and on the chain their DP table must fit ``DP_BUDGET``.
+    J = max(int(math.ceil(math.log2(grid[-1] + 1))) - 1, 12)
+    if model.chain is not None and (1 << J) - 1 > DP_BUDGET:
+        raise ConfigError(f"n_grid: n = {grid[-1]} takes a DP table of 2^{J} - 1 entries, above {DP_BUDGET}")
+    norm_report = mw_norm(model, variant, p, J)
+    m_by_n = _m_statistics(model, p, grid, replicates, seed)
     mw_terms = [t for _, t in norm_report.terms]
     # converged value = last partial sum plus the geometric tail estimate
     mw_total = norm_report.value
     per_point = []
     ratios = []
     rows = []
-    for n, values in stats_by_n.items():
+    for n, values in m_by_n.items():
         r = int(math.ceil(math.log2(n + 1)))
         bracket = first + k_p * sum(mw_terms[:r])
         est = empirical_weak_lp(values, p)
@@ -497,7 +496,7 @@ def certify_mw_inequality(
             }
         )
         rows.extend((n, rr, float(v)) for rr, v in enumerate(values))
-    slope = _fit_slope(list(stats_by_n), ratios)
+    slope = _fit_slope(list(m_by_n), ratios)
     passed = _MW_SLOPES[0] <= slope <= _MW_SLOPES[1] and all(r <= 1.0 for r in ratios)
     stats = {
         "slope": slope,
@@ -513,7 +512,7 @@ def certify_mw_inequality(
             "model": model.label,
             "variant": variant,
             "p": p,
-            "n_grid": sorted(stats_by_n),
+            "n_grid": sorted(m_by_n),
             "replicates": replicates,
             "seed": seed,
             "slope_bounds": list(_MW_SLOPES),
@@ -614,14 +613,12 @@ def holder_norm_distribution_ks(
     n2: int,
     replicates: int,
     seed: int,
-    stats_by_n: dict[int, np.ndarray] | None = None,
 ) -> float:
     """Two-sample KS distance between the Hölder norms of the
     sqrt(n)-scaled paths at sizes n1 and n2 (norm = n^(-1/p) M(n))."""
-    if stats_by_n is None:
-        stats_by_n = _m_statistics(model, p, [n1, n2], replicates, seed)
-    a = stats_by_n[n1] * n1 ** (-1.0 / p)
-    b = stats_by_n[n2] * n2 ** (-1.0 / p)
+    m_by_n = _m_statistics(model, p, [n1, n2], replicates, seed)
+    a = m_by_n[n1] * n1 ** (-1.0 / p)
+    b = m_by_n[n2] * n2 ** (-1.0 / p)
     return _ks_distance_two_sample(a, b)
 
 

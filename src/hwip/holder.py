@@ -22,7 +22,7 @@ on the fast axis.  ``holder_max_windowed`` / ``holder_max_exact`` read the
 sweep for one path, ``windowed_max_batch`` for a batch of paths and one
 window.
 ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
-sandwich the exact value.
+sandwich the exact value.  The one-path functions return a Python float.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "PolygonalPath",
-    "HolderStatistic",
     "holder_max_exact",
     "holder_max_windowed",
     "holder_norm_of_path",
@@ -75,15 +74,6 @@ class PolygonalPath:
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.partial_sums)
-
-
-@dataclass(frozen=True)
-class HolderStatistic:
-    """Value of a Hölder-type maximum together with the method that produced it."""
-
-    value: float
-    method: str  # exact_pairs | windowed | dyadic_upper | dyadic_lower
-    alpha: float
 
 
 def _check_alpha(alpha: float) -> float:
@@ -340,16 +330,13 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
     return out
 
 
-def holder_max_windowed(path: PolygonalPath, alpha: float, max_lag: int) -> HolderStatistic:
+def holder_max_windowed(path: PolygonalPath, alpha: float, max_lag: int) -> float:
     """Maximum of |S_j - S_i| / (j-i)^alpha over pairs with 1 <= j-i <= max_lag:
     the path's ``windowed_maxima``."""
-    alpha = _check_alpha(alpha)
-    value = float(windowed_maxima(path.partial_sums[None, :], alpha, [max_lag])[0, 0])
-    method = "exact_pairs" if max_lag >= path.n else "windowed"
-    return HolderStatistic(value=value, method=method, alpha=alpha)
+    return float(windowed_maxima(path.partial_sums[None, :], alpha, [max_lag])[0, 0])
 
 
-def holder_max_exact(path: PolygonalPath, alpha: float) -> HolderStatistic:
+def holder_max_exact(path: PolygonalPath, alpha: float) -> float:
     """Exact vertex maximum over all pairs 0 <= i < j <= n."""
     return holder_max_windowed(path, alpha, path.n)
 
@@ -362,7 +349,7 @@ def holder_norm_of_path(path: PolygonalPath, alpha: float) -> float:
     norm vanishes because S_0 = 0.
     """
     alpha = _check_alpha(alpha)
-    return float(path.n ** (-alpha) * holder_max_exact(path, alpha).value)
+    return path.n ** (-alpha) * holder_max_exact(path, alpha)
 
 
 def pairwise_coarsen(increments: np.ndarray) -> np.ndarray:
@@ -374,7 +361,7 @@ def pairwise_coarsen(increments: np.ndarray) -> np.ndarray:
     return h[..., : 2 * m : 2] + h[..., 1 : 2 * m : 2]
 
 
-def dyadic_upper(increments: Iterable[float], alpha: float) -> HolderStatistic:
+def dyadic_upper(increments: Iterable[float], alpha: float) -> float:
     """O(n) upper bound for the exact vertex maximum.
 
     Applies the recursion
@@ -395,10 +382,10 @@ def dyadic_upper(increments: Iterable[float], alpha: float) -> HolderStatistic:
             break
         level = pairwise_coarsen(level)
         discount *= step
-    return HolderStatistic(value=bound, method="dyadic_upper", alpha=alpha)
+    return bound
 
 
-def dyadic_lower(path: PolygonalPath, alpha: float) -> HolderStatistic:
+def dyadic_lower(path: PolygonalPath, alpha: float) -> float:
     """O(n log n) lower bound: maximum over pairs (i, i + d) with d a power
     of two and i a multiple of d.  Always <= the exact vertex maximum."""
     alpha = _check_alpha(alpha)
@@ -408,7 +395,7 @@ def dyadic_lower(path: PolygonalPath, alpha: float) -> HolderStatistic:
     while d <= path.n:
         best = max(best, float(np.abs(s[d::d] - s[:-d:d]).max()) / d ** alpha)
         d *= 2
-    return HolderStatistic(value=best, method="dyadic_lower", alpha=alpha)
+    return best
 
 
 def windowed_max_batch(partial_sums: np.ndarray, alpha: float, max_lag: int) -> np.ndarray:

@@ -171,6 +171,9 @@ class TestConfigHandling:
             ("mw", "replicates", 10**7),
             ("tightness", "replicates", 10**7),
             ("fdd", "replicates", 10**7),
+            # past the chain's DP table of 2^22 entries for the bracket's
+            # norm terms (2^23 - 1 steps reach it); checked before sampling
+            ("mw", "n_grid", [64, 2**23]),
         ],
     )
     def test_ill_typed_certify_key_names_key(self, tmp_path, capsys, suite, key, value):
@@ -242,6 +245,8 @@ class TestConfigHandling:
             (["simulate", "--n", "1048576"], "replicates", 4096),
             # the variant is named before the DP budget of J
             (["norms", "--which", "mw-norm", "--J", "23"], "variant", "nonadapted"),
+            # the same budget of 2^31 for the draws of weak-lp
+            (["norms", "--which", "weak-lp"], "samples", 10**12),
         ],
     )
     def test_ill_typed_key_names_key(self, tmp_path, capsys, argv, key, value):
@@ -747,7 +752,7 @@ _REPORT_KEYS = {
 }
 
 
-def test_report_top_level_keys(tmp_path):
+def test_report_top_level_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"paths_per_model": 2, "n_max": 8, "n_grid": [16, 32], "replicates": 20, "n": 64})
@@ -764,3 +769,12 @@ def test_report_top_level_keys(tmp_path):
         assert run([*argv, "--seed", "1", "--out", str(out)]) in (0, 1)
     found = {f.name: set(json.loads(f.read_text())) for f in out.glob("report_*.json")}
     assert found == _REPORT_KEYS
+    # every run writes its report and its summary, and simulate its CSV too
+    summaries = {f.name for f in out.glob("summary_*.txt")}
+    assert summaries == {f"summary_{name[7:-5]}.txt" for name in _REPORT_KEYS}
+    assert (out / "replicates_simulate.csv").exists()
+    # the outputs are not a choice: there is no --format flag
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--format", "csv", "--out", str(tmp_path / "csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err

@@ -15,6 +15,7 @@ import hwip.experiments as experiments
 from hwip.config import ConfigError
 from hwip.experiments import (
     _K_p,
+    _bracket_first_term,
     _first_passage_exceed_probability,
     _ks_distance_to_normal,
     _ks_distance_two_sample,
@@ -32,6 +33,8 @@ from hwip.experiments import (
 )
 from hwip.holder import windowed_max_batch, windowed_maxima
 from hwip.models import (
+    build_renewal_chain,
+    chain_transition,
     coboundary_model,
     gaussian_contrast_model,
     iid_model,
@@ -263,6 +266,54 @@ class TestMwInequality:
         monkeypatch.setattr(experiments, "_m_statistics", spy)
         with pytest.raises(ConfigError, match="^variant:"):
             certify_mw_inequality(model, "nonadapted", 3.0, [16, 32], 5, seed=1)
+
+    def test_n_grid_refused_before_sampling(self, monkeypatch):
+        # n = 2^23 takes the bracket's norm terms to level 23, a DP table
+        # of 2^23 - 1 entries, above the budget of 2^22
+        def spy(*args, **kwargs):
+            raise AssertionError("sampled before n_grid was checked")
+
+        monkeypatch.setattr(experiments, "_m_statistics", spy)
+        with pytest.raises(ConfigError, match="^n_grid:"):
+            certify_mw_inequality(renewal_model(3.0, 4), "adapted", 3.0, [64, 1 << 23], 1, seed=1)
+
+    def test_n_grid_at_the_dp_budget_is_taken(self, monkeypatch):
+        # n = 2^23 - 1 takes the norm terms to level 22, 2^22 - 1 entries
+        class Reached(Exception):
+            pass
+
+        def spy(model, variant, p, J):
+            raise Reached(J)
+
+        monkeypatch.setattr(experiments, "mw_norm", spy)
+        with pytest.raises(Reached, match="^22$"):
+            certify_mw_inequality(renewal_model(3.0, 4), "adapted", 3.0, [64, (1 << 23) - 1], 1, seed=1)
+
+    @pytest.mark.parametrize(
+        "p, depth",
+        # depth 5 at p = 4 has 10^9 states, past the chain's budget
+        [(p, depth) for p in (2.5, 3.0, 4.0) for depth in (2, 3, 4, 5) if (p, depth) != (4.0, 5)],
+    )
+    def test_chain_bracket_is_the_per_state_sum(self, p, depth):
+        # The sum over every state the bracket's first term once took: a
+        # state m >= 1 adds pi(m) |g(m - 1) - (P g)(m)|^p = 0.0, which leaves
+        # the float as it is.
+        spec = build_renewal_chain(p, depth)
+        g = spec.g_vector()
+        pg = chain_transition(spec, g)
+        total = 0.0
+        for m_prev in range(spec.n_states):
+            w = spec.pi[m_prev]
+            if w == 0.0:
+                continue
+            if m_prev >= 1:
+                total += w * abs(g[m_prev - 1] - pg[m_prev]) ** p
+            else:
+                for u_j, q in zip(spec.u, spec.tau_probs):
+                    total += w * q * abs(g[u_j - 1] - pg[0]) ** p
+        want = float(total ** (1.0 / p))
+        got = _bracket_first_term(renewal_model(p, depth), "adapted", p)
+        assert got.hex() == want.hex()
 
 
 def _eta(model, n, replicates, seed):

@@ -112,17 +112,24 @@ class TestPolygonalPath:
 
 class TestExactMax:
     def test_constant_path_is_zero(self):
-        assert holder_max_exact(path_of(0, 0, 0), 0.3).value == 0.0
+        assert holder_max_exact(path_of(0, 0, 0), 0.3) == 0.0
 
     def test_single_increment(self):
-        stat = holder_max_exact(path_of(0.0, 1.0), 0.25)
-        assert stat.value == 1.0
+        assert holder_max_exact(path_of(0.0, 1.0), 0.25) == 1.0
 
     def test_zigzag(self):
         # candidates: 1 at (0,1), 2 at (1,2), 1/2^0.25 at (0,2)
-        stat = holder_max_exact(path_of(0.0, 1.0, -1.0), 0.25)
-        assert stat.value == 2.0
-        assert stat.method == "exact_pairs"
+        assert holder_max_exact(path_of(0.0, 1.0, -1.0), 0.25) == 2.0
+
+    def test_one_path_functions_return_python_floats(self):
+        path = path_of(0.0, 1.0, -1.0, 0.5)
+        for value in (
+            holder_max_exact(path, 0.25),
+            holder_max_windowed(path, 0.25, 2),
+            dyadic_upper(path.increments, 0.25),
+            dyadic_lower(path, 0.25),
+        ):
+            assert type(value) is float
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -132,7 +139,7 @@ class TestExactMax:
     @given(increments_st, alpha_st)
     def test_matches_brute_force(self, h, alpha):
         p = PolygonalPath.from_increments(h)
-        assert holder_max_exact(p, alpha).value == pytest.approx(
+        assert holder_max_exact(p, alpha) == pytest.approx(
             brute_force_pair_max(p.partial_sums, alpha), rel=1e-13, abs=1e-13
         )
 
@@ -140,11 +147,11 @@ class TestExactMax:
     @given(increments_st, alpha_st, st.integers(min_value=0, max_value=10))
     def test_scale_equivariance_exact_for_pow2(self, h, alpha, k):
         lam = 2.0 ** (k - 5)
-        v1 = holder_max_exact(PolygonalPath.from_increments(h), alpha).value
+        v1 = holder_max_exact(PolygonalPath.from_increments(h), alpha)
         # power-of-two scaling commutes with IEEE ops in the normal range;
         # subnormal underflow is the one genuine exception
         assume(v1 == 0.0 or v1 >= 1e-280)
-        v2 = holder_max_exact(PolygonalPath.from_increments(lam * h), alpha).value
+        v2 = holder_max_exact(PolygonalPath.from_increments(lam * h), alpha)
         assert v2 == lam * v1
 
 
@@ -153,10 +160,10 @@ class TestWindowed:
         rng = np.random.default_rng(1)
         p = PolygonalPath.from_increments(rng.standard_normal(65))
         a = 0.2
-        assert holder_max_windowed(p, a, p.n).value == holder_max_exact(p, a).value
+        assert holder_max_windowed(p, a, p.n) == holder_max_exact(p, a)
 
     def test_lag_one_zigzag(self):
-        assert holder_max_windowed(path_of(0.0, 1.0, -1.0), 0.25, 1).value == 2.0
+        assert holder_max_windowed(path_of(0.0, 1.0, -1.0), 0.25, 1) == 2.0
 
     def test_rejects_zero_window(self):
         with pytest.raises(ValueError):
@@ -167,10 +174,10 @@ class TestWindowed:
     def test_matches_brute_force_and_monotone(self, h, alpha, data):
         p = PolygonalPath.from_increments(h)
         lag = data.draw(st.integers(min_value=1, max_value=p.n))
-        v = holder_max_windowed(p, alpha, lag).value
+        v = holder_max_windowed(p, alpha, lag)
         assert v == pytest.approx(brute_force_pair_max(p.partial_sums, alpha, lag), rel=1e-13)
         if lag < p.n:
-            assert v <= holder_max_windowed(p, alpha, lag + 1).value + 1e-15
+            assert v <= holder_max_windowed(p, alpha, lag + 1) + 1e-15
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -179,7 +186,7 @@ class TestWindowed:
         batch = windowed_max_batch(s, 0.3, 12)
         for r in range(7):
             assert batch[r] == pytest.approx(
-                holder_max_windowed(PolygonalPath(s[r]), 0.3, 12).value, rel=1e-14
+                holder_max_windowed(PolygonalPath(s[r]), 0.3, 12), rel=1e-14
             )
 
 
@@ -233,9 +240,9 @@ class TestLagProfile:
             calls.clear()
             exact = holder_max_exact(path, alpha)
             assert sorted(calls) == ["_extrema_pyramid", "windowed_maxima"]
-        assert stat.value.hex() == want.hex()
-        assert stat.value == brute_force_pair_max(s[0], alpha, lag)
-        assert exact.value.hex() == want_exact.hex()
+        assert stat.hex() == want.hex()
+        assert stat == brute_force_pair_max(s[0], alpha, lag)
+        assert exact.hex() == want_exact.hex()
 
     @settings(max_examples=40, deadline=None)
     @given(long_sums_st(max_n=400), alpha_st)
@@ -260,7 +267,7 @@ class TestLagProfile:
         # bound equal to the maximum must be scanned.
         s = np.tile([0.0, 1.0], 50)[None, :]
         assert windowed_maxima(s, 0.25, [99])[0, 0] == 1.0
-        assert holder_max_windowed(PolygonalPath(s[0]), 0.25, 99).value == 1.0
+        assert holder_max_windowed(PolygonalPath(s[0]), 0.25, 99) == 1.0
 
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     def test_large_paths_bit_identical(self, process, chain_spec):
@@ -500,7 +507,7 @@ class TestBlockScan:
         h = np.concatenate([np.zeros(100), np.ones(1024), -np.ones(1024)])
         path = PolygonalPath.from_increments(h)
         alpha = 0.25
-        assert holder_max_windowed(path, alpha, 1100).value == 1024 / 1024**alpha
+        assert holder_max_windowed(path, alpha, 1100) == 1024 / 1024**alpha
 
 
 class TestNormalizedStatistics:
@@ -510,7 +517,7 @@ class TestNormalizedStatistics:
             p = PolygonalPath.from_increments(rng.standard_normal(rng.integers(1, 80)))
             alpha = rng.uniform(0.05, 0.45)
             lhs = p.n ** alpha * holder_norm_of_path(p, alpha)
-            assert lhs == pytest.approx(holder_max_exact(p, alpha).value, rel=1e-12)
+            assert lhs == pytest.approx(holder_max_exact(p, alpha), rel=1e-12)
 
     def test_zero_path_norm(self):
         assert holder_norm_of_path(path_of(0, 0, 0, 0), 0.25) == 0.0
@@ -529,30 +536,29 @@ class TestNormalizedStatistics:
             p = PolygonalPath.from_increments(rng.standard_normal(n))
             delta = float(rng.uniform(2.0 / n, 1.0))
             window = int(np.floor(n * delta))
-            vertex = holder_max_windowed(p, alpha, max(window, 1)).value
+            vertex = holder_max_windowed(p, alpha, max(window, 1))
             dense = grid_modulus(p, alpha, per_step=8, window_steps=window)
             assert vertex <= dense + 1e-9 * max(dense, 1.0)
 
 
 class TestDyadicBounds:
     def test_upper_single_increment(self):
-        assert dyadic_upper([3.0], 0.25).value == 18.0  # 6 |x|
+        assert dyadic_upper([3.0], 0.25) == 18.0  # 6 |x|
 
     def test_upper_zero(self):
-        assert dyadic_upper(np.zeros(9), 0.25).value == 0.0
+        assert dyadic_upper(np.zeros(9), 0.25) == 0.0
 
     def test_lower_zigzag_equals_exact(self):
-        assert dyadic_lower(path_of(0.0, 1.0, -1.0), 0.25).value == 2.0
+        assert dyadic_lower(path_of(0.0, 1.0, -1.0), 0.25) == 2.0
 
     def test_lower_zero_path(self):
-        assert dyadic_lower(path_of(0, 0, 0), 0.25).value == 0.0
+        assert dyadic_lower(path_of(0, 0, 0), 0.25) == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(floor_sums_st(max_rows=1), sums_batch_st(max_rows=1)), alpha_st)
     def test_lower_matches_pair_loop(self, s, alpha):
         # n = 1, odd lengths, constant, tied and float paths
-        stat = dyadic_lower(PolygonalPath(s[0]), alpha)
-        assert stat.value.hex() == brute_force_dyadic_lower(s[0], alpha).hex()
+        assert dyadic_lower(PolygonalPath(s[0]), alpha).hex() == brute_force_dyadic_lower(s[0], alpha).hex()
 
     def test_pairwise_coarsen_drops_trailing(self):
         np.testing.assert_array_equal(pairwise_coarsen(np.array([1.0, 2.0, 5.0])), [3.0])
@@ -561,9 +567,9 @@ class TestDyadicBounds:
     @given(increments_st, alpha_st)
     def test_sandwich(self, h, alpha):
         p = PolygonalPath.from_increments(h)
-        exact = holder_max_exact(p, alpha).value
-        lower = dyadic_lower(p, alpha).value
-        upper = dyadic_upper(h, alpha).value
+        exact = holder_max_exact(p, alpha)
+        lower = dyadic_lower(p, alpha)
+        upper = dyadic_upper(h, alpha)
         assert lower <= exact * (1 + 1e-12) + 1e-15
         assert exact <= upper * (1 + 1e-12) + 1e-15
 
@@ -572,17 +578,17 @@ class TestDyadicBounds:
     def test_recursion_certificate(self, h, alpha):
         # M(n, h) <= 6 max|h| + 2^(-alpha) M(n//2, coarsened), exact both sides
         p = PolygonalPath.from_increments(h)
-        lhs = holder_max_exact(p, alpha).value
+        lhs = holder_max_exact(p, alpha)
         rhs = 6.0 * float(np.max(np.abs(h)))
         if h.size >= 2:
             q = PolygonalPath.from_increments(pairwise_coarsen(h))
-            rhs += 2.0 ** (-alpha) * holder_max_exact(q, alpha).value
+            rhs += 2.0 ** (-alpha) * holder_max_exact(q, alpha)
         assert lhs <= rhs * (1 + 1e-9)
 
     def test_spike_path_dominated_by_max_term(self):
         h = np.zeros(33)
         h[17] = 5.0
         alpha = 1.0 / 6.0
-        lhs = holder_max_exact(PolygonalPath.from_increments(h), alpha).value
+        lhs = holder_max_exact(PolygonalPath.from_increments(h), alpha)
         assert lhs == 5.0
-        assert dyadic_upper(h, alpha).value >= 30.0
+        assert dyadic_upper(h, alpha) >= 30.0
