@@ -33,9 +33,6 @@ from .models import (
     sample_renewal_path,
 )
 from .norms import (
-    MwNormReport,
-    SeriesDiagnostic,
-    WeakLpEstimate,
     counterexample_weights,
     empirical_weak_lp,
     mw_norm,

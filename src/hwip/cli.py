@@ -22,19 +22,17 @@ variant without the oracle the run needs (each a ``ConfigError``, raised
 where it is checked), and ``error: ...`` for a file or an allocation that
 fails.
 
-Seed resolution order: --seed flag, then HWIP_SEED, then the config file,
-then the published default.  Every reduction is a sequential
-deterministic fold; ``counterexample`` draws and sweeps each replicate on
-a worker thread, from its own stream into its own value.  So outputs are a
-pure function of (config, seed).
+Seed resolution order: --seed flag, then the config file's ``seed``, then
+the published default; ``report`` uses no seed and reads neither.  Every
+reduction is a sequential deterministic fold; ``counterexample`` draws and
+sweeps each replicate on a worker thread, from its own stream into its own
+value.  So outputs are a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,7 +51,7 @@ from .models import (
     renewal_model,
     sample_model,
 )
-from .norms import counterexample_weights, empirical_weak_lp, mw_norm, mw_series_diagnostic
+from .norms import _WEIGHTS, empirical_weak_lp, mw_norm, mw_series_diagnostic
 from .experiments import (
     STEP_BUDGET,
     CertificationReport,
@@ -68,21 +66,11 @@ from .experiments import (
 )
 from .rng import DEFAULT_SEED, substream
 
-_WEIGHTS = ("ones", "counterexample")
-
 
 def _resolve_seed(args, config: dict) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("HWIP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"HWIP_SEED: not an integer: {env!r}") from exc
-    if "seed" in config:
-        return expect_int(config, "seed")
-    return DEFAULT_SEED
+        return args.seed
+    return expect_int(config, "seed") if "seed" in config else DEFAULT_SEED
 
 
 def _load_config(path: str | None) -> dict:
@@ -237,7 +225,7 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
             config={"p": p, "samples": v["samples"], "seed": seed},
             verdict="estimated",
             passed=True,
-            body={"estimate": empirical_weak_lp(samples, p).to_dict()},
+            body={"estimate": empirical_weak_lp(samples, p)},
         )
         return {"weak_lp": report}
     model = v["model"] or model_from_dict({"kind": "renewal_chain"})
@@ -248,24 +236,19 @@ def _cmd_norms(args, config: dict, seed: int) -> dict:
             config={
                 "model": model.to_dict(), "p": p, "J": v["J"], "variant": v["variant"], "seed": seed,
             },
-            verdict="converged" if rep.converged else "not converged at J",
-            passed=bool(rep.converged),
-            body={"report": rep.to_dict()},
+            verdict="converged" if rep["converged"] else "not converged at J",
+            passed=bool(rep["converged"]),
+            body={"report": rep},
         )
         return {"mw_norm": report}
-    N, weights = v["N"], None
-    if v["weights"] == "counterexample":
-        if model.chain is None:
-            raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
-        weights = functools.partial(counterexample_weights, model.chain)  # built after N's check
-    diag = mw_series_diagnostic(model, p, weights, N)
+    diag = mw_series_diagnostic(model, p, v["N"], v["weights"])
     report = CertificationReport(
         experiment="mw_series",
-        config={"model": model.to_dict(), "p": p, "N": N, "weights": v["weights"], "seed": seed},
-        verdict=diag.verdict,
+        config={"model": model.to_dict(), "p": p, "N": v["N"], "weights": v["weights"], "seed": seed},
+        verdict=diag["verdict"],
         passed=True,
-        body={"report": diag.to_dict()},
-        replicate_rows=list(diag.rows),
+        body={"report": diag},
+        replicate_rows=diag["rows"],
         replicate_columns=("n", "term", "partial_sum"),
     )
     return {"mw_series": report}
@@ -360,7 +343,7 @@ def _cmd_counterexample(args, config: dict, seed: int) -> dict:
 
 
 def _cmd_report(args, config: dict, out: Path) -> int:
-    read({}, config, what="report")
+    read({}, config, {"seed": args.seed}, what="report")
     src = Path(args.input or out)
     files = sorted(src.glob("report_*.json"))
     if not files:
@@ -399,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the common flags and one flag per key of ``specs``."""
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
-        sp.add_argument("--seed", type=int, help="master seed (overrides HWIP_SEED and config)")
+        sp.add_argument("--seed", type=int, help="master seed (overrides the config's seed)")
         sp.add_argument("--out", default="hwip_out", help="output directory")
         flags = {k: default for spec in specs for k, (default, _) in spec.items() if k != "model"}
         for key, default in flags.items():
@@ -432,10 +415,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         config = _load_config(args.config)
-        seed = _resolve_seed(args, config)
-        config.pop("seed", None)  # read above, in its own order
         if args.command == "report":
             return _cmd_report(args, config, out)
+        seed = _resolve_seed(args, config)
+        config.pop("seed", None)  # read above, in its own order
         reports = args.func(args, config, seed)
         for name, report in reports.items():
             _write_outputs(out, name, report)

@@ -208,7 +208,7 @@ def _is_mds(model: ProcessModel) -> bool:
         return bool(np.all(chain_transition(model.chain, g) == 0.0))
     if not model.has_PT_adapted:
         return False
-    return apply_PT(model, "adapted", model.increment_fn, 1).is_zero
+    return apply_PT(model, "adapted", model.increment_fn).is_zero
 
 
 def _dyadic_grid(n_max: int) -> list[int]:
@@ -351,9 +351,7 @@ def _m_statistics(
     stats = {n: np.empty(replicates) for n in n_grid}
     for start, s in _partial_sum_chunks(model, n_max, replicates, seed):
         for n, values in stats.items():
-            values[start : start + len(s)] = windowed_max_batch(
-                np.ascontiguousarray(s[:, : n + 1]), alpha, n
-            )
+            values[start : start + len(s)] = windowed_max_batch(s[:, : n + 1], alpha, n)
     return stats
 
 
@@ -390,11 +388,11 @@ def certify_martingale_inequality(
     ratios = []
     rows = []
     for n, values in m_by_n.items():
-        est = empirical_weak_lp(values, p)
+        root = empirical_weak_lp(values, p)["tail_form_root"]
         # degenerate m = 0: every statistic vanishes and the ratio is read as 0
-        ratio = est.root / (n ** (1.0 / p) * m_norm) if m_norm > 0 else 0.0
+        ratio = root / (n ** (1.0 / p) * m_norm) if m_norm > 0 else 0.0
         ratios.append(ratio)
-        per_point.append({"n": n, "weak_lp_root": est.root, "ratio": ratio})
+        per_point.append({"n": n, "weak_lp_root": root, "ratio": ratio})
         rows.extend((n, r, float(v)) for r, v in enumerate(values))
     slope = _fit_slope(list(m_by_n), ratios) if m_norm > 0 else 0.0
     passed = _MARTINGALE_SLOPES[0] <= slope <= _MARTINGALE_SLOPES[1]
@@ -437,7 +435,7 @@ def _bracket_first_term(model: ProcessModel, variant: str, p: float) -> float:
             total += spec.pi[0] * q * abs(g[u_j - 1] - pg[0]) ** p
         return float(total ** (1.0 / p))
     f = model.increment_fn
-    pf = apply_PT(model, variant, f, 1)
+    pf = apply_PT(model, variant, f)
     if pf.is_zero:
         return f.lp_norm(p, model.innovation)
     shift = -1 if variant == "adapted" else 1
@@ -473,23 +471,23 @@ def certify_mw_inequality(
         raise ConfigError(f"n_grid: n = {grid[-1]} takes a DP table of 2^{J} - 1 entries, above {DP_BUDGET}")
     norm_report = mw_norm(model, variant, p, J)
     m_by_n = _m_statistics(model, p, grid, replicates, seed)
-    mw_terms = [t for _, t in norm_report.terms]
+    mw_terms = [t for _, t in norm_report["terms"]]
     # converged value = last partial sum plus the geometric tail estimate
-    mw_total = norm_report.value
+    mw_total = norm_report["value"]
     per_point = []
     ratios = []
     rows = []
     for n, values in m_by_n.items():
         r = int(math.ceil(math.log2(n + 1)))
         bracket = first + k_p * sum(mw_terms[:r])
-        est = empirical_weak_lp(values, p)
-        ratio = est.root / (n ** (1.0 / p) * bracket)
-        corollary = (n ** (-1.0 / p) * est.root) / mw_total if mw_total > 0 else 0.0
+        root = empirical_weak_lp(values, p)["tail_form_root"]
+        ratio = root / (n ** (1.0 / p) * bracket)
+        corollary = (n ** (-1.0 / p) * root) / mw_total if mw_total > 0 else 0.0
         ratios.append(ratio)
         per_point.append(
             {
                 "n": n,
-                "weak_lp_root": est.root,
+                "weak_lp_root": root,
                 "bracket": bracket,
                 "ratio": ratio,
                 "corollary_ratio": corollary,
@@ -667,9 +665,7 @@ def holder_tightness_diagnostic(
     maxima = {n: np.empty((len(deltas), replicates)) for n in n_grid}
     for start, s in _partial_sum_chunks(model, max(n_grid), replicates, seed):
         for n, out in maxima.items():
-            out[:, start : start + len(s)] = windowed_maxima(
-                np.ascontiguousarray(s[:, : n + 1]), alpha, windows[n]
-            )
+            out[:, start : start + len(s)] = windowed_maxima(s[:, : n + 1], alpha, windows[n])
     for n in n_grid:
         for d, w, row in zip(deltas, windows[n], maxima[n]):
             stat = row * n ** (-1.0 / p)

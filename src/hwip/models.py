@@ -174,9 +174,9 @@ class TableFunction:
     def shift(self, s: int) -> "TableFunction":
         return TableFunction(self.lo + s, self.table)
 
-    def condexp_past(self, cutoff: int = 0) -> "TableFunction":
-        """E[. | innovations at offsets <= cutoff]: average out newer axes."""
-        drop = self.hi - cutoff
+    def condexp_past(self) -> "TableFunction":
+        """E[. | innovations at offsets <= 0]: average out newer axes."""
+        drop = self.hi
         if drop <= 0 or self.width == 0:
             return self
         drop = min(drop, self.width)
@@ -262,8 +262,8 @@ class LinearFunction:
     def shift(self, s: int) -> "LinearFunction":
         return LinearFunction(tuple(o + s for o in self.offsets), self.coeffs)
 
-    def condexp_past(self, cutoff: int = 0) -> "LinearFunction":
-        kept = [(o, c) for o, c in zip(self.offsets, self.coeffs) if o <= cutoff]
+    def condexp_past(self) -> "LinearFunction":
+        kept = [(o, c) for o, c in zip(self.offsets, self.coeffs) if o <= 0]
         return LinearFunction(tuple(o for o, _ in kept), tuple(c for _, c in kept))
 
     def __add__(self, other: "LinearFunction") -> "LinearFunction":
@@ -941,8 +941,8 @@ def sample_batch(model: ProcessModel, n: int, replicates: int, seed: int) -> np.
     return out
 
 
-def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):
-    """Apply the conditional-expectation semigroup k times.
+def apply_PT(model: ProcessModel, variant: str, h):
+    """Apply the conditional-expectation semigroup once.
 
     adapted:     P h = E[h o T | past]        (h must be past-measurable)
     nonadapted:  P h = h o T^-1 - E[h o T^-1 | past]
@@ -952,32 +952,20 @@ def apply_PT(model: ProcessModel, variant: str, h, k: int = 1):
     functions outright.  For the chain, h is a state vector and only the
     adapted variant exists.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     one_of(_VARIANTS)({"variant": variant}, "variant")
     if model.chain is not None:
         if variant != "adapted":
             raise ConfigError("variant: the renewal chain exposes only the adapted oracle")
-        out = np.asarray(h, dtype=float)
-        for _ in range(k):
-            out = chain_transition(model.chain, out)
-        return out
-    fn = h
+        return chain_transition(model.chain, np.asarray(h, dtype=float))
     if variant == "adapted":
-        if _window_span(fn)[1] > 0:
+        if _window_span(h)[1] > 0:
             raise ConfigError(
                 "variant: adapted oracle requires a function of present and past innovations"
             )
-        for _ in range(k):
-            if fn.is_zero:
-                return ZERO_FUNCTION
-            fn = fn.shift(1).condexp_past(0)
-        return ZERO_FUNCTION if fn.is_zero else fn
-    for _ in range(k):
-        if fn.is_zero:
-            return ZERO_FUNCTION
-        shifted = fn.shift(-1)
-        fn = shifted - shifted.condexp_past(0)
+        fn = h.shift(1).condexp_past()
+    else:
+        shifted = h.shift(-1)
+        fn = shifted - shifted.condexp_past()
     return ZERO_FUNCTION if fn.is_zero else fn
 
 
@@ -991,7 +979,7 @@ def semigroup_partial_sums(model: ProcessModel, variant: str, h):
     total = term = h
     while True:
         yield total
-        term = apply_PT(model, variant, term, 1)
+        term = apply_PT(model, variant, term)
         if model.chain is None and term.is_zero:
             return
         total = total + term

@@ -13,13 +13,15 @@ computed exactly where the model exposes a closed-form oracle; a model
 without one, or a variant it lacks, raises ``ConfigError`` naming ``model``
 or ``variant``.  A martingale-difference f (P f = 0) collapses every inner
 sum to f itself, so the norm equals (2 + sqrt 2) ||f||_p.
+
+Each estimator returns one plain dict, the object its ``hwip norms``
+report prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +37,9 @@ from .models import (
 )
 
 __all__ = [
-    "WeakLpEstimate",
     "empirical_weak_lp",
     "weak_lp_max_bound_check",
-    "MaxBoundReport",
-    "MwNormReport",
     "mw_norm",
-    "SeriesDiagnostic",
     "mw_series_diagnostic",
     "counterexample_weights",
 ]
@@ -50,39 +48,8 @@ __all__ = [
 #: ratio test to count it as geometric decay.
 RATIO_TEST_THRESHOLD = 0.95
 
-
-@dataclass(frozen=True)
-class WeakLpEstimate:
-    """Tail-form estimate of sup_t t^p mu{|h| > t} from a finite sample.
-
-    ``value`` is the exact plug-in supremum over the empirical measure:
-    max over sample points x of x^p * (#{|samples| >= x} / N).  ``root`` is
-    its 1/p-th power and ``dual_interval`` brackets the event-form norm.
-    """
-
-    value: float
-    p: float
-    sample_count: int
-
-    @property
-    def root(self) -> float:
-        return self.value ** (1.0 / self.p)
-
-    @property
-    def dual_interval(self) -> tuple[float, float]:
-        r = self.root
-        return (r, r * self.p / (self.p - 1.0))
-
-    def to_dict(self) -> dict:
-        lo, hi = self.dual_interval
-        return {
-            "tail_form": self.value,
-            "tail_form_root": self.root,
-            "dual_lower": lo,
-            "dual_upper": hi,
-            "p": self.p,
-            "sample_count": self.sample_count,
-        }
+#: The weights ``mw_series_diagnostic`` takes.
+_WEIGHTS = ("ones", "counterexample")
 
 
 def _tail_form(abs_samples: np.ndarray, p: float) -> float:
@@ -99,52 +66,40 @@ def _tail_form(abs_samples: np.ndarray, p: float) -> float:
     return float(np.max(a ** p * ranks / n))
 
 
-def empirical_weak_lp(samples: Sequence[float] | np.ndarray, p: float) -> WeakLpEstimate:
-    """Estimate the weak-L^p tail functional from samples of |h|."""
+def empirical_weak_lp(samples: Sequence[float] | np.ndarray, p: float) -> dict:
+    """Estimate the weak-L^p tail functional from samples of |h|.
+
+    ``tail_form`` is the exact plug-in supremum over the empirical measure:
+    max over sample points x of x^p * (#{|samples| >= x} / N).
+    ``tail_form_root`` is its 1/p-th power, and ``dual_lower`` and
+    ``dual_upper`` bracket the event-form norm.
+    """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     x = np.abs(np.asarray(samples, dtype=float)).ravel()
     if x.size == 0:
         raise ValueError("samples must be nonempty")
-    return WeakLpEstimate(value=_tail_form(x, p), p=float(p), sample_count=int(x.size))
+    value = _tail_form(x, p)
+    p = float(p)
+    root = value ** (1.0 / p)
+    return {
+        "tail_form": value,
+        "tail_form_root": root,
+        "dual_lower": root,
+        "dual_upper": root * p / (p - 1.0),
+        "p": p,
+        "sample_count": int(x.size),
+    }
 
 
-@dataclass(frozen=True)
-class MaxBoundReport:
-    """Empirical check of the weak-L^p bound for a maximum of N functions:
-    tail(max_j |h_j|)^(1/p) <= (p/(p-1)) * N^(1/p) * max_j tail(h_j)^(1/p)."""
+def weak_lp_max_bound_check(sample_matrix: np.ndarray, p: float) -> dict:
+    """Check the weak-L^p bound for a maximum of N functions,
 
-    n_functions: int
-    p: float
-    lhs: float
-    rhs: float
-    per_function: tuple[float, ...]
+        tail(max_j |h_j|)^(1/p) <= (p/(p-1)) * N^(1/p) * max_j tail(h_j)^(1/p),
 
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-12)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_functions": self.n_functions,
-            "p": self.p,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "per_function_roots": list(self.per_function),
-        }
-
-
-def weak_lp_max_bound_check(sample_matrix: np.ndarray, p: float) -> MaxBoundReport:
-    """Verify the N^(1/p) maximum bound on an (N functions x replicates) matrix.
-
-    The worst (and only) ratio lhs/rhs is returned; values below one certify
-    the bound on the empirical measure.
+    on an (N functions x replicates) matrix.  The worst (and only) ratio
+    lhs/rhs is returned; values below one certify the bound on the empirical
+    measure.
     """
     m = np.abs(np.asarray(sample_matrix, dtype=float))
     if m.ndim == 1:
@@ -152,45 +107,23 @@ def weak_lp_max_bound_check(sample_matrix: np.ndarray, p: float) -> MaxBoundRepo
     if m.ndim != 2 or m.size == 0:
         raise ValueError("sample_matrix must be (N, replicates)")
     n_fun = m.shape[0]
-    roots = tuple(_tail_form(m[j], p) ** (1.0 / p) for j in range(n_fun))
+    roots = [_tail_form(m[j], p) ** (1.0 / p) for j in range(n_fun)]
     lhs = _tail_form(m.max(axis=0), p) ** (1.0 / p)
     rhs = (p / (p - 1.0)) * n_fun ** (1.0 / p) * max(roots)
-    return MaxBoundReport(n_functions=n_fun, p=float(p), lhs=lhs, rhs=rhs, per_function=roots)
+    return {
+        "n_functions": n_fun,
+        "p": float(p),
+        "lhs": lhs,
+        "rhs": rhs,
+        "ratio": lhs / rhs if rhs > 0 else 0.0,
+        "passed": lhs <= rhs * (1.0 + 1e-12),
+        "per_function_roots": roots,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Dyadic conditional-sum norm
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MwNormReport:
-    """Terms 2^(-j/2) ||V_{2^j} f||_p and their partial sums up to level J."""
-
-    terms: tuple[tuple[int, float], ...]
-    partial_sums: tuple[float, ...]
-    J: int
-    converged: bool
-    tail_estimate: float
-    variant: str
-    p: float
-
-    @property
-    def value(self) -> float:
-        """Best available value: last partial sum plus the geometric tail."""
-        return self.partial_sums[-1] + self.tail_estimate
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "p": self.p,
-            "J": self.J,
-            "terms": [[j, t] for j, t in self.terms],
-            "partial_sums": list(self.partial_sums),
-            "converged": self.converged,
-            "tail_estimate": self.tail_estimate,
-            "value": self.value,
-        }
 
 
 def require_variant(model: ProcessModel, variant: str) -> None:
@@ -204,12 +137,16 @@ def require_variant(model: ProcessModel, variant: str) -> None:
         return
     if variant == "adapted" and not model.has_PT_adapted:
         raise ConfigError("variant: model increments are not past-measurable")
-    if variant == "nonadapted" and not model.increment_fn.condexp_past(0).is_zero:
+    if variant == "nonadapted" and not model.increment_fn.condexp_past().is_zero:
         raise ConfigError("variant: nonadapted norm requires E[f | past] = 0")
 
 
-def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport:
-    """Dyadic norm terms of the model's increment function up to level J.
+def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> dict:
+    """Dyadic norm terms 2^(-j/2) ||V_{2^j} f||_p of the model's increment
+    function up to level J, as ``terms`` ``[[j, term], ...]``, with their
+    ``partial_sums``, a geometric ratio test (``converged``,
+    ``tail_estimate``) and the best available ``value``: the last partial
+    sum plus the geometric tail.
 
     The chain route evaluates V_{2^j} g exactly through the regeneration
     dynamic program; window-function models stay symbolic (the semigroup is
@@ -226,7 +163,7 @@ def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport
 
     # V_{2^j} f stabilizes once P^i f vanishes: the norm of the last V_n is
     # taken at the first level 2^j beyond it and reused from there on.
-    terms: list[tuple[int, float]] = []
+    terms: list[list] = []
     sums = semigroup_partial_sums(model, variant, model.increment_fn)
     covered = 0
     stable: float | None = None
@@ -242,52 +179,29 @@ def mw_norm(model: ProcessModel, variant: str, p: float, J: int) -> MwNormReport
                 stable = norm
         else:
             norm = stable
-        terms.append((j, 2.0 ** (-0.5 * j) * norm))
-    partial = np.cumsum([t for _, t in terms])
+        terms.append([j, 2.0 ** (-0.5 * j) * norm])
+    partial = [float(x) for x in np.cumsum([t for _, t in terms])]
     # geometric ratio test on the last levels
     last = terms[-1][1]
     prev = terms[-2][1] if len(terms) > 1 else float("inf")
     ratio = last / prev if prev > 0 else 0.0
     converged = ratio < RATIO_TEST_THRESHOLD or last == 0.0
     tail = last * ratio / (1.0 - ratio) if converged and 0.0 < ratio < 1.0 else 0.0
-    return MwNormReport(
-        terms=tuple(terms),
-        partial_sums=tuple(float(x) for x in partial),
-        J=J,
-        converged=converged,
-        tail_estimate=tail,
-        variant=variant,
-        p=float(p),
-    )
+    return {
+        "variant": variant,
+        "p": float(p),
+        "J": J,
+        "terms": terms,
+        "partial_sums": partial,
+        "converged": converged,
+        "tail_estimate": tail,
+        "value": partial[-1] + tail,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Conditional-sum series diagnostics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesDiagnostic:
-    """Partial sums of sum_k a_k ||E[S_k | past]||_p / k^(3/2) with a dyadic
-    block ratio test.  The verdict is a statement about the computed range
-    only, never about the true limit."""
-
-    rows: tuple[tuple[int, float, float], ...]  # (n, term at n, partial sum to n)
-    block_ratios: tuple[float, ...]
-    verdict: str
-    p: float
-    N: int
-    weighted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [[n, t, s] for n, t, s in self.rows],
-            "block_ratios": list(self.block_ratios),
-            "verdict": self.verdict,
-            "p": self.p,
-            "N": self.N,
-            "weighted": self.weighted,
-        }
 
 
 def _scale_boundaries(model: ProcessModel, N: int) -> list[int]:
@@ -310,7 +224,7 @@ def _scale_boundaries(model: ProcessModel, N: int) -> list[int]:
     return bounds
 
 
-def _series_verdict(terms: np.ndarray, bounds: list[int]) -> tuple[tuple[float, ...], str]:
+def _series_verdict(terms: np.ndarray, bounds: list[int]) -> tuple[list[float], str]:
     """Ratio test on consecutive blocks terms[b_i .. b_{i+1})."""
     bounds = bounds + [terms.size + 1]
     blocks = []
@@ -318,9 +232,9 @@ def _series_verdict(terms: np.ndarray, bounds: list[int]) -> tuple[tuple[float, 
         hi = min(hi, terms.size + 1)
         if hi > lo:
             blocks.append(float(terms[lo - 1 : hi - 1].sum()))
-    ratios = tuple(
+    ratios = [
         blocks[k] / blocks[k - 1] if blocks[k - 1] > 0 else 0.0 for k in range(1, len(blocks))
-    )
+    ]
     if ratios and all(r < RATIO_TEST_THRESHOLD for r in ratios):
         verdict = "converges"
     else:
@@ -345,49 +259,44 @@ def conditional_sum_norms(model: ProcessModel, p: float, N: int) -> np.ndarray:
     return norms
 
 
-def mw_series_diagnostic(
-    model: ProcessModel,
-    p: float,
-    a: Sequence[float] | np.ndarray | Callable[[int], np.ndarray] | None,
-    N: int,
-) -> SeriesDiagnostic:
-    """Evaluate the weighted conditional-sum series up to N.
+def mw_series_diagnostic(model: ProcessModel, p: float, N: int, weights: str = "ones") -> dict:
+    """Evaluate the weighted conditional-sum series
+    sum_k a_k ||E[S_k | past]||_p / k^(3/2) up to N.
 
-    ``a`` is a weight sequence (a_1 .. a_N), or a function of N that returns
-    one, called after the norms (so after their budget check); absent
-    weights mean a_n = 1, which gives the unweighted summability condition.
-    Partial sums are tabulated at dyadic n; the verdict comes from a block
-    ratio test with blocks aligned to the model's dependence scales (see
-    ``_scale_boundaries``), and is a statement about the computed range
-    only.
+    ``weights`` is "ones" (a_n = 1, the unweighted summability condition)
+    or "counterexample" (``counterexample_weights``, on a renewal chain
+    only), built after the norms and so after their budget check.  The
+    ``rows`` ``[[n, term, partial sum], ...]`` are tabulated at dyadic n;
+    the ``verdict`` comes from a block ratio test with blocks aligned to the
+    model's dependence scales (see ``_scale_boundaries``), and is a
+    statement about the computed range only, never about the true limit.
     """
+    one_of(_WEIGHTS)({"weights": weights}, "weights")
+    weighted = weights == "counterexample"
+    if weighted and model.chain is None:
+        raise ConfigError("weights: 'counterexample' requires a renewal_chain model")
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")
     norms = conditional_sum_norms(model, p, N)
-    weighted = a is not None
-    if callable(a):
-        a = a(N)
-    weights = np.asarray(a, dtype=float) if weighted else np.ones(N)
-    if weights.shape != (N,):
-        raise ValueError(f"weight sequence must have length N = {N}")
+    a = counterexample_weights(model.chain, N) if weighted else np.ones(N)
     k = np.arange(1, N + 1, dtype=float)
-    terms = weights * norms / k ** 1.5
+    terms = a * norms / k ** 1.5
     partial = np.cumsum(terms)
     rows = []
     n = 1
     while n <= N:
-        rows.append((n, float(terms[n - 1]), float(partial[n - 1])))
+        rows.append([n, float(terms[n - 1]), float(partial[n - 1])])
         n *= 2
     ratios, verdict = _series_verdict(terms, _scale_boundaries(model, N))
-    return SeriesDiagnostic(
-        rows=tuple(rows),
-        block_ratios=ratios,
-        verdict=verdict,
-        p=float(p),
-        N=N,
-        weighted=weighted,
-    )
+    return {
+        "rows": rows,
+        "block_ratios": ratios,
+        "verdict": verdict,
+        "p": float(p),
+        "N": N,
+        "weighted": weighted,
+    }
 
 
 def counterexample_weights(spec: RenewalChainSpec, N: int) -> np.ndarray:

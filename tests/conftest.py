@@ -90,11 +90,13 @@ def grid_modulus(path: PolygonalPath, alpha: float, per_step: int = 8, window_st
 
 def brute_force_partial_sum(model, variant, h, n):
     """V_n h = sum_{i<n} P^i h for a window function h, each P^i h computed
-    from h by apply_PT.  A vanishing term is skipped: it has no window to
-    align."""
+    from h by i applications of apply_PT.  A vanishing term is skipped: it
+    has no window to align."""
     total = h
     for i in range(1, n):
-        term = apply_PT(model, variant, h, i)
+        term = h
+        for _ in range(i):
+            term = apply_PT(model, variant, term)
         if not term.is_zero:
             total = total + term
     return total

@@ -152,18 +152,18 @@ def test_criterion_4_weak_lp_estimator():
     rng = substream(SEED_PARETO, 0)
     samples = rng.uniform(size=100000) ** (-1.0 / 3.0)
     est = empirical_weak_lp(samples, 3.0)
-    tail_ok = abs(est.value - 1.0) <= 0.1
+    tail_ok = abs(est["tail_form"] - 1.0) <= 0.1
     ratios = {}
     for n_fun in (1, 4, 16):
         mat = substream(SEED_MAXBOUND, n_fun).uniform(size=(n_fun, 10000)) ** (-1.0 / 3.0)
         rep = weak_lp_max_bound_check(mat, 3.0)
-        ratios[n_fun] = (rep.ratio, rep.passed)
+        ratios[n_fun] = (rep["ratio"], rep["passed"])
     bound_ok = all(ok for _, ok in ratios.values())
     passed = tail_ok and bound_ok
     _report(
         4,
         passed,
-        f"weak-Lp: Pareto(3) tail form {est.value:.4f} (target 1.0 +/- 0.1); "
+        f"weak-Lp: Pareto(3) tail form {est['tail_form']:.4f} (target 1.0 +/- 0.1); "
         f"max-bound ratios {{N: ratio}} = "
         + ", ".join(f"{k}: {v[0]:.3f}" for k, v in ratios.items()),
     )
@@ -187,7 +187,7 @@ def test_criterion_5_martingale_inequality_boundedness(martingale_report):
 def test_criterion_6_mw_collapse_for_mds():
     rep = mw_norm(mds_model("rademacher"), "adapted", 4.0, J=70)
     target = 2.0 + math.sqrt(2.0)
-    err = abs(rep.partial_sums[-1] - target)
+    err = abs(rep["partial_sums"][-1] - target)
     passed = err <= 1e-10
     _report(6, passed, f"dyadic-norm collapse: |partial sum - (2 + sqrt 2)| = {err:.2e} (tol 1e-10)")
     assert passed
@@ -327,7 +327,7 @@ def test_criterion_10_reproducibility(chain_spec, tmp_path):
             mismatches.append(name + "_csv")
     est1 = empirical_weak_lp(substream(SEED_PARETO, 0).uniform(size=50000) ** (-1 / 3.0), 3.0)
     est2 = empirical_weak_lp(substream(SEED_PARETO, 0).uniform(size=50000) ** (-1 / 3.0), 3.0)
-    if json.dumps(est1.to_dict()) != json.dumps(est2.to_dict()):
+    if json.dumps(est1) != json.dumps(est2):
         mismatches.append("weak_lp")
     passed = not mismatches
     _report(10, passed, f"bit-for-bit reproducibility: mismatches = {mismatches or 'none'}")

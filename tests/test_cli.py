@@ -10,6 +10,9 @@ import pytest
 import hwip
 from hwip import cli
 from hwip.cli import main, render_summary
+from hwip.models import model_from_dict
+from hwip.norms import empirical_weak_lp, mw_norm, mw_series_diagnostic
+from hwip.rng import substream
 
 
 def run(argv):
@@ -88,15 +91,9 @@ class TestConfigHandling:
         assert code == 2
         assert "model" in capsys.readouterr().err
 
-    def test_seed_resolution_order(self, tmp_path, monkeypatch):
+    def test_seed_resolution_order(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 11}))
-        monkeypatch.setenv("HWIP_SEED", "22")
-        run(
-            ["certify", "--suite", "dyadic-lemma", "--config", str(cfg), "--out", str(tmp_path / "a")]
-        )
-        doc = json.loads((tmp_path / "a" / "report_dyadic_lemma.json").read_text())
-        assert doc["config"]["seed"] == 22  # env beats config
         run(
             [
                 "certify", "--suite", "dyadic-lemma", "--config", str(cfg),
@@ -104,7 +101,7 @@ class TestConfigHandling:
             ]
         )
         doc = json.loads((tmp_path / "b" / "report_dyadic_lemma.json").read_text())
-        assert doc["config"]["seed"] == 33  # flag beats env
+        assert doc["config"]["seed"] == 33  # flag beats config
 
     @pytest.mark.parametrize(
         "suite, key, value",
@@ -443,6 +440,9 @@ class TestConfigHandling:
                 {"model": {"kind": "linear_process", "coeffs": [1, 0.5], "innovation": "uniform"}},
                 "model",
             ),
+            # report uses no seed, so it reads none
+            (["report", "--seed", "1"], {}, "seed"),
+            (["report"], {"seed": 1}, "seed"),
         ],
     )
     def test_unknown_key_names_key(self, tmp_path, capsys, argv, config, key):
@@ -725,6 +725,31 @@ def test_dyadic_lemma_budget_comes_before_the_paths(tmp_path, capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert "configuration error: paths_per_model:" in err and "Traceback" not in err
+
+
+#: The keys of the dict each norms function returns, which its report prints.
+_NORMS_KEYS = {
+    "weak_lp": {"tail_form", "tail_form_root", "dual_lower", "dual_upper", "p", "sample_count"},
+    "mw_norm": {"variant", "p", "J", "terms", "partial_sums", "converged", "tail_estimate", "value"},
+    "mw_series": {"rows", "block_ratios", "verdict", "p", "N", "weighted"},
+}
+
+
+def test_norms_reports_print_the_functions_dicts(tmp_path):
+    chain = model_from_dict({"kind": "renewal_chain"})  # the default model of norms
+    samples = substream(13, 0).uniform(size=1000) ** (-1.0 / 3.0)
+    runs = {
+        "weak_lp": (["--which", "weak-lp", "--samples", "1000", "--seed", "13"], "estimate",
+                    empirical_weak_lp(samples, 3.0)),
+        "mw_norm": (["--which", "mw-norm", "--J", "8"], "report", mw_norm(chain, "adapted", 3.0, 8)),
+        "mw_series": (["--which", "mw-series", "--N", "4096", "--weights", "counterexample"], "report",
+                      mw_series_diagnostic(chain, 3.0, 4096, "counterexample")),
+    }
+    for name, (argv, field, expected) in runs.items():
+        assert run(["norms", *argv, "--out", str(tmp_path)]) == 0
+        printed = json.loads((tmp_path / f"report_{name}.json").read_text())[field]
+        assert set(expected) == _NORMS_KEYS[name]
+        assert printed == json.loads(json.dumps(expected))
 
 
 def test_render_summary_is_pure_function_of_doc():

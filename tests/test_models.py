@@ -416,10 +416,13 @@ class TestSemigroupPartialSums:
         variants = (["adapted"] if model.has_PT_adapted else []) + ["nonadapted"]
         for variant in variants:
             sums = list(islice(semigroup_partial_sums(model, variant, f), _TERMS))
-            ends = next(
-                (n for n in range(1, _TERMS + 1) if apply_PT(model, variant, f, n).is_zero),
-                _TERMS,
-            )
+            # the first n with P^n f = 0, applying P once at a time
+            term, ends = f, _TERMS
+            for n in range(1, _TERMS + 1):
+                term = apply_PT(model, variant, term)
+                if term.is_zero:
+                    ends = n
+                    break
             assert len(sums) == ends  # V_1 .. V_n with n the first P^n f = 0
             for n, v in enumerate(sums, start=1):
                 assert _bits(v) == _bits(brute_force_partial_sum(model, variant, f, n))
@@ -429,9 +432,9 @@ class TestWindowFunctions:
     def test_table_condexp_and_expectation(self):
         # f = eps_0 * eps_1 -> E[f | <=0] = 0, E[f] = 0
         f = TableFunction(0, np.outer([-1.0, 1.0], [-1.0, 1.0]))
-        assert f.condexp_past(0).is_zero
+        assert f.condexp_past().is_zero
         # conditioning on no innovation at all gives the constant E[f]
-        e = f.condexp_past(-1)
+        e = f.shift(1).condexp_past().shift(-1)
         assert e.width == 0 and float(e.table) == 0.0
 
     def test_table_alignment_add(self):
@@ -458,25 +461,25 @@ class TestWindowFunctions:
 
     def test_linear_condexp_drops_future(self):
         f = LinearFunction((-1, 0, 1, 2), (1.0, 2.0, 3.0, 4.0))
-        past = f.condexp_past(0)
+        past = f.condexp_past()
         assert past.offsets == (-1, 0) and past.coeffs == (1.0, 2.0)
 
 
 class TestApplyPT:
     def test_mds_killed_by_adapted_semigroup(self):
         for model in (mds_model("rademacher"), mds_model("rademacher", 0.5), iid_model("normal")):
-            assert apply_PT(model, "adapted", model.increment_fn, 1).is_zero
+            assert apply_PT(model, "adapted", model.increment_fn).is_zero
 
     def test_adapted_requires_past_measurable(self):
         model = iid_model("rademacher")
         future = LinearFunction((1,), (1.0,)).to_table()
         with pytest.raises(ConfigError, match="^variant:"):
-            apply_PT(model, "adapted", future, 1)
+            apply_PT(model, "adapted", future)
 
     def test_nonadapted_annihilates_past_measurable(self):
         model = iid_model("rademacher")
         past = LinearFunction((0, -1), (1.0, 0.5)).to_table()
-        assert apply_PT(model, "nonadapted", past, 1).is_zero
+        assert apply_PT(model, "nonadapted", past).is_zero
 
     def test_nonadapted_nilpotent_and_power_bounded(self):
         model = iid_model("rademacher")
@@ -484,19 +487,23 @@ class TestApplyPT:
         base = h.lp_norm(3.0, RADEMACHER)
         out = h
         for k in range(1, 4):
-            out = apply_PT(model, "nonadapted", out, 1)
+            out = apply_PT(model, "nonadapted", out)
             if out.is_zero:
                 break
             assert out.lp_norm(3.0, RADEMACHER) <= 2.0 * base * (1 + 1e-9)
-        assert apply_PT(model, "nonadapted", h, 3).is_zero
+        cubed = h
+        for _ in range(3):
+            cubed = apply_PT(model, "nonadapted", cubed)
+        assert cubed.is_zero
 
     def test_semigroup_law(self):
+        # P^2 h = E[h o T^2 | past]: the tower property
         model = iid_model("rademacher")
         h = LinearFunction((-2, -1, 0), (1.0, 2.0, -1.0)).to_table()
         one_by_one = h
         for _ in range(2):
-            one_by_one = apply_PT(model, "adapted", one_by_one, 1)
-        at_once = apply_PT(model, "adapted", h, 2)
+            one_by_one = apply_PT(model, "adapted", one_by_one)
+        at_once = h.shift(2).condexp_past()
         assert (one_by_one - at_once).lp_norm(3.0, RADEMACHER) < 1e-14
 
     def test_power_bound_battery(self):
@@ -507,14 +514,14 @@ class TestApplyPT:
         for _ in range(15):
             past = TableFunction(-2, rng.standard_normal((2, 2, 2)))
             fut = TableFunction(-1, rng.standard_normal((2, 2, 2)))
-            fut = fut - fut.condexp_past(0)
+            fut = fut - fut.condexp_past()
             for variant, h in (("adapted", past), ("nonadapted", fut)):
                 base = h.lp_norm(3.0, RADEMACHER)
                 if base == 0.0:
                     continue
                 out = h
                 for _ in range(4):
-                    out = apply_PT(model, variant, out, 1)
+                    out = apply_PT(model, variant, out)
                     if out.is_zero:
                         break
                     worst = max(worst, out.lp_norm(3.0, RADEMACHER) / base)
@@ -523,17 +530,17 @@ class TestApplyPT:
     def test_nonadapted_kills_adapted_part(self):
         model = iid_model("rademacher")
         f = TableFunction(-1, np.arange(16, dtype=float).reshape(2, 2, 2, 2))  # coords -1..2
-        assert apply_PT(model, "nonadapted", f.condexp_past(0), 1).is_zero
+        assert apply_PT(model, "nonadapted", f.condexp_past()).is_zero
 
     def test_chain_nonadapted_unsupported(self):
         model = renewal_model(3.0, 4)
         with pytest.raises(ConfigError, match="^variant:"):
-            apply_PT(model, "nonadapted", model.chain.g_vector(), 1)
+            apply_PT(model, "nonadapted", model.chain.g_vector())
 
     def test_unknown_variant_rejected(self):
         model = iid_model("rademacher")
         with pytest.raises(ConfigError, match=r"^variant: must be one of \('adapted', 'nonadapted'\)"):
-            apply_PT(model, "sideways", model.increment_fn, 1)
+            apply_PT(model, "sideways", model.increment_fn)
 
 
 class TestSampleModel:
