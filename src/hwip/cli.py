@@ -23,10 +23,11 @@ where it is checked), and ``error: ...`` for a file or an allocation that
 fails.
 
 Seed resolution order: --seed flag, then the config file's ``seed``, then
-the published default; ``report`` uses no seed and reads neither.  Every
-reduction is a sequential deterministic fold; ``counterexample`` draws and
-sweeps each replicate on a worker thread, from its own stream into its own
-value.  So outputs are a pure function of (config, seed).
+the published default.  ``report`` uses no seed and reads no key, so it
+takes neither ``--seed`` nor ``--config``.  Every reduction is a
+sequential deterministic fold; ``counterexample`` draws and sweeps each
+replicate on a worker thread, from its own stream into its own value.  So
+outputs are a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -342,8 +343,7 @@ def _cmd_counterexample(args, config: dict, seed: int) -> dict:
     return reports
 
 
-def _cmd_report(args, config: dict, out: Path) -> int:
-    read({}, config, {"seed": args.seed}, what="report")
+def _cmd_report(args, out: Path) -> int:
     src = Path(args.input or out)
     files = sorted(src.glob("report_*.json"))
     if not files:
@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, func, *specs):
-        """A subcommand with the common flags and one flag per key of ``specs``."""
+        """A subcommand that reads keys: ``--config``, ``--seed``, ``--out``
+        and one flag per key of ``specs``."""
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="master seed (overrides the config's seed)")
@@ -405,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         _COUNTEREXAMPLE,
     )
     sp.add_argument("--contrast", action="store_true", help="also run the variance-matched Gaussian null")
-    sp = command("report", "re-render summaries from existing report JSON files", None)
+    # report reads no key, so it takes neither --config nor --seed
+    sp = sub.add_parser("report", help="re-render summaries from existing report JSON files")
+    sp.add_argument("--out", default="hwip_out", help="output directory")
     sp.add_argument("--input", metavar="DIR", help="directory holding report_*.json (default: --out)")
     return parser
 
@@ -414,9 +417,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        config = _load_config(args.config)
         if args.command == "report":
-            return _cmd_report(args, config, out)
+            return _cmd_report(args, out)
+        config = _load_config(args.config)
         seed = _resolve_seed(args, config)
         config.pop("seed", None)  # read above, in its own order
         reports = args.func(args, config, seed)

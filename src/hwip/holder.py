@@ -18,8 +18,10 @@ path starts that maximum from the quotient of each row's range pair
 (argmin S, argmax S), often most of the final value, so its bounds prune
 from there.  The surviving blocks of a segment are scanned from one
 (lags, starts, blocks) view of their ends, in groups of lags, the blocks
-on the fast axis.  ``holder_max_windowed`` / ``holder_max_exact`` read the
-sweep for one path, ``windowed_max_batch`` for a batch of paths and one
+on the fast axis.  The pyramid and the dense lag-by-lag pass walk a long
+row one column span at a time, so a sweep's temporaries are bounded by a
+span, not by the row.  ``holder_max_windowed`` / ``holder_max_exact`` read
+the sweep for one path, ``windowed_max_batch`` for a batch of paths and one
 window.
 ``dyadic_upper`` / ``dyadic_lower`` are cheap two-sided bounds that
 sandwich the exact value.  The one-path functions return a Python float.
@@ -86,8 +88,11 @@ def _check_alpha(alpha: float) -> float:
 #: Smallest block of the extrema pyramid, and so of the start blocks.
 _BASE = 16
 #: Elements per temporary array of the lag sweep (2 MiB of floats); only a
-#: single row, or a single start's lags, can need more.
+#: single start block's sums can need more.
 _CHUNK = 1 << 18
+#: Sums per column span (512 KiB of floats): a row longer than a span is
+#: reduced to its pyramid, and swept densely, one span at a time.
+_SPAN = 1 << 16
 
 
 def _scales(lo: int, hi: int, alpha: float) -> np.ndarray:
@@ -137,7 +142,11 @@ def _extrema_pyramid(s: np.ndarray, top: int) -> list[tuple[np.ndarray, ...]]:
     Entry ``level`` is ``(mn, mx, mn2, mx2)``: per row, the minimum and the
     maximum of each aligned block of ``_BASE << level`` sums (the last block
     may be short), and of each block together with its right neighbour.
-    Built by pairwise reduction of a few rows at a time, without copying s.
+    Built by pairwise reduction of a few rows at a time, without copying s,
+    and of a row longer than a span one column span at a time.  A span
+    starts at a multiple c0 of ``top``, so its k-th halving pairs the
+    columns the whole row's does and fills the row's from ``c0 >> k``; only
+    the row's last span carries an odd column.
     """
     rows, m = s.shape
     first = _BASE.bit_length() - 1
@@ -149,14 +158,17 @@ def _extrema_pyramid(s: np.ndarray, top: int) -> list[tuple[np.ndarray, ...]]:
             pyramid.append((np.empty((rows, width)), np.empty((rows, width))))
         width -= width // 2
     per = max(1, _CHUNK // m)
+    span = -(-_SPAN // top) * top
     for r0 in range(0, rows, per):
-        mn = mx = s[r0 : r0 + per]
-        for k in range(first + levels):
-            if k:
-                mn, mx = _halve(mn, np.minimum), _halve(mx, np.maximum)
-            if k >= first:
-                pyramid[k - first][0][r0 : r0 + per] = mn
-                pyramid[k - first][1][r0 : r0 + per] = mx
+        for c0 in range(0, m, span):
+            mn = mx = s[r0 : r0 + per, c0 : c0 + span]
+            for k in range(first + levels):
+                if k:
+                    mn, mx = _halve(mn, np.minimum), _halve(mx, np.maximum)
+                if k >= first:
+                    cols = slice(c0 >> k, (c0 >> k) + mn.shape[1])
+                    pyramid[k - first][0][r0 : r0 + per, cols] = mn
+                    pyramid[k - first][1][r0 : r0 + per, cols] = mx
     for level, (mn, mx) in enumerate(pyramid):
         mn2, mx2 = mn.copy(), mx.copy()
         np.minimum(mn[:, :-1], mn[:, 1:], out=mn2[:, :-1])
@@ -236,20 +248,28 @@ def _block_maxima(
 
 def _dense_maxima(s: np.ndarray, lo: int, hi: int, alpha: float) -> np.ndarray:
     """Per row, ``max_i |S_{i+d} - S_i| / d**alpha`` over the lags lo..hi,
-    lag by lag over a few rows at a time."""
+    lag by lag over a few rows at a time.  A row longer than a span has
+    each lag's starts walked one span at a time, the spans' maxima folded
+    by ``np.maximum``, so the scratch holds a span, not the row."""
     rows, m = s.shape
     per = max(1, _CHUNK // (m - lo))
-    scratch = np.empty((min(per, rows), m - lo))
+    width = min(m - lo, _SPAN)
+    scratch = np.empty((min(per, rows), width))
     scales = _scales(lo, hi, alpha)[:, None]
     out = np.empty(rows)
     for r0 in range(0, rows, per):
         sub = s[r0 : r0 + per]
         maxima = np.empty((hi - lo + 1, sub.shape[0]))
         for d in range(lo, hi + 1):
-            buf = scratch[: sub.shape[0], : m - d]
-            np.subtract(sub[:, d:], sub[:, :-d], out=buf)
-            np.abs(buf, out=buf)
-            buf.max(axis=1, out=maxima[d - lo])
+            for i0 in range(0, m - d, width):
+                i1 = min(m - d, i0 + width)
+                buf = scratch[: sub.shape[0], : i1 - i0]
+                np.subtract(sub[:, i0 + d : i1 + d], sub[:, i0:i1], out=buf)
+                np.abs(buf, out=buf)
+                if i0:
+                    np.maximum(maxima[d - lo], buf.max(axis=1), out=maxima[d - lo])
+                else:
+                    buf.max(axis=1, out=maxima[d - lo])
         maxima /= scales
         maxima.max(axis=0, out=out[r0 : r0 + per])
     return out

@@ -392,7 +392,7 @@ class TestConfigHandling:
             (["certify", "--suite", "tightness"], {"eps": 0.1}, "eps"),
             (["certify", "--suite", "all"], {"n_grids": [64]}, "n_grids"),
             (["counterexample"], {"J": 3}, "J"),
-            (["report"], {"inputs": "elsewhere"}, "inputs"),
+            (["counterexample"], {"inputs": "elsewhere"}, "inputs"),
             # a model where the run reads none
             (["norms", "--which", "weak-lp"], {"model": {"kind": "iid"}}, "model"),
             (["counterexample"], {"model": {"kind": "renewal_chain"}}, "model"),
@@ -440,9 +440,6 @@ class TestConfigHandling:
                 {"model": {"kind": "linear_process", "coeffs": [1, 0.5], "innovation": "uniform"}},
                 "model",
             ),
-            # report uses no seed, so it reads none
-            (["report", "--seed", "1"], {}, "seed"),
-            (["report"], {"seed": 1}, "seed"),
         ],
     )
     def test_unknown_key_names_key(self, tmp_path, capsys, argv, config, key):
@@ -453,6 +450,21 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"configuration error: {key}:" in err
         assert "Traceback" not in err
+
+    def test_report_takes_no_seed_or_config(self, tmp_path, capsys):
+        # report uses no seed and reads no key, so neither flag exists for it
+        with pytest.raises(SystemExit) as exc:
+            run(["report", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--seed" not in usage and "--config" not in usage
+        for flag in (["--seed", "1"], ["--config", str(tmp_path / "cfg.json")]):
+            with pytest.raises(SystemExit) as exc:
+                run(["report", *flag, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, key, text, value",

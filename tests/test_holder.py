@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -245,12 +247,15 @@ class TestLagProfile:
         assert exact.hex() == want_exact.hex()
 
     @settings(max_examples=40, deadline=None)
-    @given(long_sums_st(max_n=400), alpha_st)
-    def test_block_bounds_cover_their_pairs(self, s, alpha):
+    @given(long_sums_st(max_n=400), alpha_st, st.sampled_from([16, 48, 100, 1 << 16]))
+    def test_block_bounds_cover_their_pairs(self, s, alpha, span):
         # The pruning premise: in every lag segment, a start block's bound
-        # is at least the quotient of each of its pairs.
+        # is at least the quotient of each of its pairs, whatever the
+        # column spans the pyramid was built in.
         n = s.shape[1] - 1
-        pyramid = _extrema_pyramid(s, _block_size(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holder, "_SPAN", span)
+            pyramid = _extrema_pyramid(s, _block_size(n))
         for lo, hi, level in _lag_segments(1, n):
             size = _BASE << level
             bound = _block_bounds(pyramid, level, lo, n, alpha)
@@ -508,6 +513,63 @@ class TestBlockScan:
         path = PolygonalPath.from_increments(h)
         alpha = 0.25
         assert holder_max_windowed(path, alpha, 1100) == 1024 / 1024**alpha
+
+
+class TestSpans:
+    """A row longer than ``_SPAN`` sums is reduced to its extrema pyramid,
+    and swept densely, one column span at a time: the same values as one
+    span, with temporaries bounded by the span, not by the row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(long_sums_st(max_rows=1), many_rows_st()),
+        alpha_st,
+        st.sampled_from([16, 48, 100]),
+        st.data(),
+    )
+    def test_small_spans_match_dense_sweep(self, s, alpha, span, data):
+        n = s.shape[1] - 1
+        windows = data.draw(windows_st(n)) + [n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holder, "_SPAN", span)
+            got = windowed_maxima(s, alpha, windows)
+        np.testing.assert_array_equal(got, dense_windowed_maxima(s, alpha, windows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(floor_sums_st(max_n=600), long_sums_st(max_n=600)),
+        st.sampled_from([16, 48, 100]),
+        st.data(),
+    )
+    def test_pyramid_is_the_one_span_pyramid(self, s, span, data):
+        # floor_sums_st draws n = 1, odd lengths and constant rows; the top
+        # block runs from one block of _BASE to past the row.
+        top = _block_size(data.draw(st.integers(min_value=1, max_value=2 * s.shape[1])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holder, "_SPAN", s.shape[1])
+            whole = _extrema_pyramid(s, top)
+            mp.setattr(holder, "_SPAN", span)
+            spans = _extrema_pyramid(s, top)
+        assert len(spans) == len(whole)
+        for level, want in zip(spans, whole):
+            for got, expected in zip(level, want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_memory_holds_a_span_not_the_row(self):
+        # One row of 2^20 + 1 sums (8 MiB) at the headline window: the
+        # pyramid's halvings and the dense sweep of the top lag each hold
+        # one span, so the traced peak stays well below a row.
+        rng = np.random.default_rng(6)
+        s = np.zeros((1, (1 << 20) + 1))
+        np.cumsum(rng.standard_normal(1 << 20), out=s[0, 1:])
+        row = s.nbytes
+        tracemalloc.start()
+        try:
+            windowed_maxima(s, 1 / 6, [196])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * row
 
 
 class TestNormalizedStatistics:
