@@ -440,6 +440,9 @@ class TestConfigHandling:
                 {"model": {"kind": "linear_process", "coeffs": [1, 0.5], "innovation": "uniform"}},
                 "model",
             ),
+            # a config seed that is no integer (argparse checks the flag's)
+            (["simulate", "--n", "8"], {"seed": "1"}, "seed"),
+            (["counterexample"], {"seed": 1.5}, "seed"),
         ],
     )
     def test_unknown_key_names_key(self, tmp_path, capsys, argv, config, key):
