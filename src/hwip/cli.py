@@ -25,9 +25,10 @@ fails.
 Seed resolution order: --seed flag, then the config file's ``seed``, then
 the published default.  ``report`` uses no seed and reads no key, so it
 takes neither ``--seed`` nor ``--config``.  Every reduction is a
-sequential deterministic fold; ``counterexample`` draws and sweeps each
-replicate on a worker thread, from its own stream into its own value.  So
-outputs are a pure function of (config, seed).
+sequential deterministic fold; ``counterexample`` makes one call for the
+chain and, with ``--contrast``, its Gaussian null, which draws and sweeps
+each row span by span on a worker thread of one pool, from its own stream
+into its own value.  So outputs are a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -336,11 +337,10 @@ def _cmd_counterexample(args, config: dict, seed: int) -> dict:
     v = _read(_COUNTEREXAMPLE, args, config, "counterexample")
     j_level = v["depth"] if v["j"] is None else v["j"]
     spec = build_renewal_chain(v["p"], v["depth"])
-    run = dict(K=v["K"], j_level=j_level, delta=v["delta"], replicates=v["replicates"], seed=seed)
-    reports = {"counterexample": nontightness_experiment(spec, **run)}
-    if args.contrast:
-        reports["counterexample_contrast"] = nontightness_experiment(spec, **run, process="gaussian")
-    return reports
+    reports = nontightness_experiment(
+        spec, v["K"], j_level, v["delta"], v["replicates"], seed, contrast=args.contrast
+    )
+    return dict(zip(("counterexample", "counterexample_contrast"), reports))
 
 
 def _cmd_report(args, out: Path) -> int:

@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -36,6 +37,7 @@ from .models import (
     ProcessModel,
     RenewalChainSpec,
     _RenewalSampler,
+    _RenewalWalk,
     _sampler,
     apply_PT,
     chain_transition,
@@ -773,6 +775,15 @@ def _subsequence_scale(
     return n, n * K, math.floor(n * delta), spec.pi0 / (2.0 * K ** (1.0 / spec.p))
 
 
+#: Steps a ``counterexample`` worker draws, sums and sweeps at once (1 MB
+#: of sums), or four windows when that is more: it carries the last
+#: ``window`` sums of a span into the next and sweeps them again, so it
+#: holds a span and a window of its row, however long the row, and sweeps
+#: at most a quarter more sums than the row has.  Rows of at most 2^17
+#: steps are one span.
+_ROW_SPAN = 1 << 17
+
+
 def nontightness_experiment(
     spec: RenewalChainSpec,
     K: int,
@@ -780,8 +791,8 @@ def nontightness_experiment(
     delta: float,
     replicates: int,
     seed: int,
-    process: str = "renewal",
-) -> CertificationReport:
+    contrast: bool = False,
+) -> tuple[CertificationReport, ...]:
     """Heavy-excursion demonstration along the tuned subsequence.
 
     Simulates paths of length n*K with n = floor(u_j^((p+2)/2)), computes
@@ -791,97 +802,124 @@ def nontightness_experiment(
 
     and reports the empirical P(R >= pi_0 / (2 K^(1/p))) with a Wilson
     interval next to the exact lower bound
-    1 - (1 - mu(A_n))^n - P(T_n > K n).  ``process="gaussian"`` replaces the
-    chain by iid Gaussian increments with the chain's variance constant (the
-    tight null sharing the same Brownian limit); the theoretical bound is
-    chain-specific and omitted there.
+    1 - (1 - mu(A_n))^n - P(T_n > K n).  Returns the chain's report, then,
+    with ``contrast``, the report of iid Gaussian increments with the
+    chain's variance constant (the tight null sharing the same Brownian
+    limit), where the chain-specific bound is omitted.
 
-    Replicate r draws from ``substream(seed, r)``.  With W = ``min(usable
-    CPUs, replicates, 8)`` worker threads (NumPy releases the interpreter lock
-    while it fills, sums and sweeps a row), worker w runs replicates w, w + W,
-    ... in its own row buffer: it writes a row's increments there in place
-    (the chain's from its return times, by the chain's ``_RenewalSampler``),
-    sums them in place and takes the row's windowed maximum while the row is
-    still in its core's cache.  A row's maximum depends only on its own
-    stream, so the values do not depend on the number of CPUs.
+    Replicate r of either law draws from ``substream(seed, r)``.  W =
+    ``min(usable CPUs, rows, 8)`` worker threads (NumPy releases the
+    interpreter lock while it fills, sums and sweeps) take the rows one at a
+    time, the Gaussian null's and the chain's in turn, so one worker's long
+    Gaussian draw overlaps another's short sweep calls.  A worker walks a
+    row in spans of ``max(_ROW_SPAN, 4 window)`` steps through its own
+    buffer: it writes a span's increments after the last ``window`` sums of
+    the span before (the chain's by its ``_RenewalWalk``), adds the
+    previous sum into the first and sums them in place, so they are the
+    sums of one cumsum of the row, then sweeps the buffer with the row's
+    maximum so far as the floor.  A pair of the row ends in one span and
+    starts at most ``window`` sums before it, so every pair is swept.  A
+    row's maximum depends only on its own stream, so the values do not
+    depend on the number of CPUs or on the span.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if process not in ("renewal", "gaussian"):
-        raise ValueError("process must be 'renewal' or 'gaussian'")
     n, length, window, threshold = _subsequence_scale(spec, K, j_level, delta)
     _check_steps("j", length, replicates)
     alpha = _alpha(spec.p)
     scale = float(length) ** (-1.0 / spec.p)
     sigma = math.sqrt(renewal_variance_constant(spec))
     sampler = _RenewalSampler(spec, length)
+    span = max(_ROW_SPAN, 4 * window)
+    laws = ("renewal", "gaussian") if contrast else ("renewal",)
+    values = {law: np.empty(replicates) for law in laws}
+    # the Gaussian null's row r, then the chain's
+    tasks = iter([(law, r) for r in range(replicates) for law in reversed(laws)])
+    lock = threading.Lock()
+    workers = min(_usable_cpus(), replicates * len(laws), 8)
 
-    values = np.empty(replicates)
-    workers = min(_usable_cpus(), replicates, 8)
-
-    def run(w: int, row: np.ndarray, scratch) -> None:
-        # Worker w's replicates, on its thread.  It calls no public function of
+    def run(buf: np.ndarray, walk: _RenewalWalk) -> None:
+        # One worker's rows, on its thread.  It calls no public function of
         # the package, so wrappers around those (tracing) run on this thread only.
-        steps = row[1:]
-        for r in range(w, replicates, workers):
+        while True:
+            with lock:
+                law, r = next(tasks, (None, None))
+            if law is None:
+                return
             rng = substream(seed, r)
-            if process == "renewal":
-                sampler.row(rng, steps, scratch)
-            else:
-                rng.standard_normal(out=steps)
-                steps *= sigma
-            np.cumsum(steps, out=steps)
-            values[r] = scale * windowed_maxima(row[None, :], alpha, [window])[0, 0]
+            if law == "renewal":
+                walk.start(rng)
+            buf[0] = 0.0
+            best, done, h = 0.0, 0, 1  # buf[:h] holds S_(done - h + 1) .. S_done
+            while done < length:
+                steps = buf[h : h + min(span, length - done)]
+                if law == "renewal":
+                    walk.fill(steps)
+                else:
+                    rng.standard_normal(out=steps)
+                    steps *= sigma
+                steps[0] += buf[h - 1]
+                np.cumsum(steps, out=steps)
+                h += steps.size
+                done += steps.size
+                best = windowed_maxima(buf[None, :h], alpha, [window], best)[0, 0]
+                keep = min(window, h)
+                buf[:keep] = buf[h - keep : h]
+                h = keep
+            values[law][r] = scale * best
 
-    # Each worker's row and block arrays are allocated on this thread: glibc
-    # keeps what a worker frees in that thread's own arena.
-    rows = [np.zeros(length + 1) for _ in range(workers)]
-    scratches = [sampler.scratch() if process == "renewal" else None for _ in range(workers)]
+    # Each worker's buffer and block arrays are allocated on this thread:
+    # glibc keeps what a worker frees in that thread's own arena.
+    bufs = [np.empty(min(length + 1, span + window)) for _ in range(workers)]
+    walks = [_RenewalWalk(sampler) for _ in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # list() reads every worker's result, so a row's exception is raised here.
-        list(pool.map(run, range(workers), rows, scratches))
-    hits = int(np.sum(values >= threshold))
-    prob = hits / replicates
-    ci = wilson_interval(hits, replicates)
-    stats = {
-        "n": n,
-        "path_length": length,
-        "window": window,
-        "threshold": threshold,
-        "empirical_probability": prob,
-        "wilson_ci": list(ci),
-        "process": process,
-        "sigma_contrast": sigma if process == "gaussian" else None,
-    }
-    if process == "renewal":
-        mu_a = nontightness_event_probability(spec, n, K, delta)
-        passage = _first_passage_exceed_probability(spec, n, K)
-        lower = max(0.0, 1.0 - (1.0 - mu_a) ** n - passage["value"])
-        stats.update(mu_A_n=mu_a, first_passage_exceed=passage, theoretical_lower_bound=lower)
-        half_width = (ci[1] - ci[0]) / 2.0
-        passed = prob >= lower - 3.0 * half_width
-        verdict = "non-tightness reproduced" if passed else "empirical probability below bound"
-    else:
-        passed = True
-        verdict = "contrast run"
-    return CertificationReport(
-        experiment="nontightness",
-        config={
-            "p": spec.p,
-            "depth": spec.depth,
-            "K": K,
-            "j_level": j_level,
-            "delta": delta,
-            "replicates": replicates,
-            "seed": seed,
+        list(pool.map(run, bufs, walks))
+    reports = []
+    for process in laws:
+        hits = int(np.sum(values[process] >= threshold))
+        prob = hits / replicates
+        ci = wilson_interval(hits, replicates)
+        stats = {
+            "n": n,
+            "path_length": length,
+            "window": window,
+            "threshold": threshold,
+            "empirical_probability": prob,
+            "wilson_ci": list(ci),
             "process": process,
-        },
-        verdict=verdict,
-        passed=passed,
-        body={"stats": stats, "per_point": []},
-        replicate_rows=[(r, float(v), bool(v >= threshold)) for r, v in enumerate(values)],
-        replicate_columns=("replicate", "scaled_windowed_max", "exceeds_threshold"),
-    )
+            "sigma_contrast": sigma if process == "gaussian" else None,
+        }
+        if process == "renewal":
+            mu_a = nontightness_event_probability(spec, n, K, delta)
+            passage = _first_passage_exceed_probability(spec, n, K)
+            lower = max(0.0, 1.0 - (1.0 - mu_a) ** n - passage["value"])
+            stats.update(mu_A_n=mu_a, first_passage_exceed=passage, theoretical_lower_bound=lower)
+            half_width = (ci[1] - ci[0]) / 2.0
+            passed = prob >= lower - 3.0 * half_width
+            verdict = "non-tightness reproduced" if passed else "empirical probability below bound"
+        else:
+            passed = True
+            verdict = "contrast run"
+        reports.append(CertificationReport(
+            experiment="nontightness",
+            config={
+                "p": spec.p,
+                "depth": spec.depth,
+                "K": K,
+                "j_level": j_level,
+                "delta": delta,
+                "replicates": replicates,
+                "seed": seed,
+                "process": process,
+            },
+            verdict=verdict,
+            passed=passed,
+            body={"stats": stats, "per_point": []},
+            replicate_rows=[(r, float(v), bool(v >= threshold)) for r, v in enumerate(values[process])],
+            replicate_columns=("replicate", "scaled_windowed_max", "exceeds_threshold"),
+        ))
+    return tuple(reports)
 
 
 def renewal_identity_check(states: np.ndarray, increments: np.ndarray, pi0: float) -> dict:

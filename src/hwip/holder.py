@@ -285,18 +285,22 @@ def _range_floor(s: np.ndarray, osc: np.ndarray, alpha: float) -> np.ndarray:
     return osc / np.array([max(d, 1) ** alpha for d in lags])
 
 
-def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[int]) -> np.ndarray:
+def windowed_maxima(
+    partial_sums: np.ndarray, alpha: float, windows: Iterable[int], floor=0.0
+) -> np.ndarray:
     """Windowed vertex maxima of a batch of paths, for several windows: the
     one lag sweep.
 
     ``partial_sums`` has shape (rows, n + 1) and finite entries.  Entry
-    ``[k, r]`` of the (len(windows), rows) result is
-    ``max |S_j - S_i| / (j - i)**alpha`` over the pairs of row r with
-    ``1 <= j - i <= windows[k]``, bit for bit the maximum of the dense
-    per-lag sweep.
+    ``[k, r]`` of the (len(windows), rows) result is the larger of
+    ``floor`` (a number, or one per row) and ``max |S_j - S_i| / (j -
+    i)**alpha`` over the pairs of row r with ``1 <= j - i <= windows[k]``,
+    bit for bit the maximum of the dense per-lag sweep.  A row swept in
+    pieces passes the maximum of its earlier pieces as its floor.
 
     Branch and bound.  Windows are taken in increasing order, each
-    extending the running maximum ``best`` of the smaller ones.  A window
+    extending the running maximum ``best`` of the smaller ones, which
+    starts at the floor, so the bounds prune from there.  A window
     first folds in the exact maxima at its top lag, and a window that
     covers the path (w = n) the quotient of each row's range pair
     (``_range_floor``), computed as the sweep computes it; then, segment by
@@ -323,7 +327,7 @@ def windowed_maxima(partial_sums: np.ndarray, alpha: float, windows: Iterable[in
     if not (np.isfinite(low).all() and np.isfinite(high).all()):
         raise ValueError("partial_sums must be finite")
     osc = high - low
-    best = np.zeros(s.shape[0])
+    best = np.full(s.shape[0], floor, dtype=float)
     out = np.empty((len(tops), s.shape[0]))
     done = 0  # every lag <= done is folded into best
     for k in sorted(range(len(tops)), key=tops.__getitem__):

@@ -491,14 +491,15 @@ class _RenewalSampler:
     """Paths of length n of the chain, from its regeneration times.
 
     Every state equals the distance to the next visit of 0, so it suffices
-    to draw the initial state Y_0 (one uniform, unless given) and the iid
-    return times tau (one uniform each), by the draws ``Generator.choice``
-    makes: Y_0 by a search of the stationary CDF, the return times by
-    ``_cdf_index`` on theirs.  The two CDFs are computed once.  The return
-    times are walked in blocks of at most ``_BLOCK`` uniforms; blocks only
-    regroup uniforms consumed in order, so only the unused tail past n
-    depends on the block size.  A row touches no state outside its own
-    generator and output, so rows may be drawn on several threads at once.
+    to draw the initial state Y_0 (one uniform) and the iid return times
+    tau (one uniform each), by the draws ``Generator.choice`` makes: Y_0 by
+    a search of the stationary CDF, the return times by ``_cdf_index`` on
+    theirs.  The two CDFs are computed once.  The return times are walked
+    in blocks of at most ``_BLOCK`` uniforms; blocks only regroup uniforms
+    consumed in order, so only the unused tail past n depends on the block
+    size.  A row touches no state outside its own generator, output and
+    ``_RenewalWalk``, so rows may be drawn on several threads at once, one
+    walk each.
     """
 
     def __init__(self, spec: RenewalChainSpec, n: int):
@@ -509,78 +510,96 @@ class _RenewalSampler:
         self.taus = spec.tau_values
         self.block = min(max(64, int(1.2 * (n / spec.mean_tau)) + 8), _BLOCK)
 
-    def scratch(self) -> tuple[np.ndarray, ...]:
-        """The arrays a row walks its blocks in: uniforms, slots, and the
-        counts and mask of ``_cdf_index``."""
-        b = self.block
-        counts = np.empty(b, dtype=np.min_scalar_type(self.tau_cdf.size))
-        return np.empty(b), np.empty(b, dtype=np.int64), counts, np.empty(b, dtype=bool)
-
-    def row(
-        self,
-        rng: np.random.Generator,
-        out: np.ndarray,
-        scratch: tuple[np.ndarray, ...],
-        y0: int | None = None,
-    ) -> tuple[int, int]:
-        """g(Y_1), ..., g(Y_n) into ``out``: -pi_0, and 1 - pi_0 at each
-        return to 0 at a time <= n.  Returns Y_0 and the first return past n.
-
-        The first return is Y_0 (when >= 1); each block of return times is
-        summed in place and offset by the last return before it, less one,
-        which gives the returns' slots in ``out``.  The blocks are walked in
-        ``scratch`` (from ``self.scratch()``), whose every entry each block
-        overwrites, so successive rows may share it; a block allocates nothing."""
-        if y0 is None:
-            y0 = int(self.start_cdf.searchsorted(rng.random(), side="right"))
-        out.fill(-self.pi0)
-        last = y0
-        if 1 <= last <= self.n:
-            out[last - 1] = 1.0 - self.pi0
-        u, slots, counts, mask = scratch
-        idx = u.view(np.intp)  # the uniforms are spent once counted
-        while last <= self.n:
-            idx[...] = _cdf_index(self.tau_cdf, rng.random(out=u), counts, mask)
-            # Every index is < len(taus), since u < 1, the last CDF edge.
-            np.take(self.taus, idx, out=slots, mode="clip")
-            np.cumsum(slots, out=slots)
-            slots += last - 1
-            k = int(slots.searchsorted(self.n, side="left"))
-            out[slots[:k]] = 1.0 - self.pi0
-            last = int(slots[min(k, slots.size - 1)]) + 1
-        return y0, last
+    def row(self, rng: np.random.Generator, out: np.ndarray, walk: "_RenewalWalk") -> tuple[int, int]:
+        """g(Y_1), ..., g(Y_n) into ``out`` in one span.  Returns Y_0 and
+        the first return past n."""
+        y0 = walk.start(rng)
+        return y0, walk.fill(out)
 
     def fill(self, rngs, out: np.ndarray) -> None:
-        scratch = self.scratch()
+        walk = _RenewalWalk(self)
         for row, rng in zip(out, rngs):
-            self.row(rng, row, scratch)
+            self.row(rng, row, walk)
+
+
+class _RenewalWalk:
+    """One row of a ``_RenewalSampler`` at a time, filled span after span.
+
+    The row's returns to 0 are kept as slots, a return at time t in slot
+    t - 1 counted from the start of the span last filled: the first return
+    Y_0 (when >= 1), then each block of return times, summed in place and
+    offset by the last return before it, less one.  A span marks its
+    pending slots below its end; the slots past it carry over to the next
+    span.  A block is drawn only when the pending slots are spent, so that
+    the last return lies inside the spans filled, at a time <= n: the
+    uniforms are consumed in order, whatever the spans.  The blocks are
+    walked in arrays every block overwrites, so successive rows share them
+    and a block allocates nothing.
+    """
+
+    def __init__(self, sampler: _RenewalSampler):
+        b = sampler.block
+        self.sampler = sampler
+        self.u = np.empty(b)
+        self.slots = np.empty(b, dtype=np.int64)
+        self.counts = np.empty(b, dtype=np.min_scalar_type(sampler.tau_cdf.size))
+        self.mask = np.empty(b, dtype=bool)
+
+    def start(self, rng: np.random.Generator) -> int:
+        """Begin a row drawn from ``rng``: draw Y_0 and return it."""
+        y0 = int(self.sampler.start_cdf.searchsorted(rng.random(), side="right"))
+        # Y_0 = 0 is a return at time 0, before any step: a slot already spent.
+        self.slots[0] = y0 - 1
+        self.rng, self.pos, self.end, self.shift = rng, int(y0 == 0), 1, 0
+        return y0
+
+    def fill(self, out: np.ndarray) -> int:
+        """The row's next ``out.size`` increments into ``out``: -pi_0, and
+        1 - pi_0 at each return to 0.  Returns the time of the first return
+        past them, counted from the start of ``out``."""
+        s = self.sampler
+        slots, pos, end = self.slots, self.pos, self.end
+        if self.shift:
+            slots[pos:end] -= self.shift
+        span = out.size
+        out.fill(-s.pi0)
+        idx = self.u.view(np.intp)  # the uniforms are spent once counted
+        while True:
+            k = pos + int(slots[pos:end].searchsorted(span)) if pos < end else end
+            if k > pos:
+                out[slots[pos:k]] = 1.0 - s.pi0
+            if k < end:
+                break
+            last = int(slots[end - 1]) + 1
+            idx[...] = _cdf_index(s.tau_cdf, self.rng.random(out=self.u), self.counts, self.mask)
+            # Every index is < len(taus), since u < 1, the last CDF edge.
+            np.take(s.taus, idx, out=slots, mode="clip")
+            np.cumsum(slots, out=slots)
+            slots += last - 1
+            pos, end = 0, slots.size
+        self.pos, self.end, self.shift = k, end, span
+        return int(slots[k]) + 1
 
 
 def sample_renewal_path(
     spec: RenewalChainSpec,
     length: int,
     seed,
-    start_state: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (Y_0, ..., Y_length) and the increments (g(Y_1), ..., g(Y_length)).
 
-    Y_0 is drawn from the stationary law unless ``start_state`` is given.
-    The increments are ``_RenewalSampler.row``'s, and the states are rebuilt
-    from its returns: those marked in the increments and the first one past
-    ``length``.  With r_0 = 0 < r_1 < r_2 < ... these returns, the times t in
+    Y_0 is drawn from the stationary law.  The increments are
+    ``_RenewalSampler.row``'s, and the states are rebuilt from its returns:
+    those marked in the increments and the first one past ``length``.  With r_0 = 0 < r_1 < r_2 < ... these returns, the times t in
     (r_{i-1}, r_i] all wait for r_i, so ``Y_t = r_i - t`` there:
     ``Y_1, ..., Y_length`` is ``repeat(r, diff(r))`` minus ``1, ..., length``.
     """
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
-    if start_state is not None:
-        start_state = int(start_state)
-        if not 0 <= start_state < spec.n_states:
-            raise ValueError(f"start_state must lie in [0, {spec.n_states})")
     increments = np.empty(length)
     sampler = _RenewalSampler(spec, length)
-    y0, after = sampler.row(as_generator(seed), increments, sampler.scratch(), start_state)
+    y0, after = sampler.row(as_generator(seed), increments, _RenewalWalk(sampler))
     returns = np.append(np.flatnonzero(increments > 0) + 1, after)
     states = np.empty(length + 1, dtype=np.int64)
     states[0] = y0

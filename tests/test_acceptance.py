@@ -259,12 +259,8 @@ def test_criterion_8_invariance_principle_consistency():
 
 def test_criterion_9_nontightness_demonstration(chain_spec):
     t0 = time.time()
-    rep = nontightness_experiment(
-        chain_spec, K=2, j_level=4, delta=1e-3, replicates=200, seed=SEED_NONTIGHT
-    )
-    contrast = nontightness_experiment(
-        chain_spec, K=2, j_level=4, delta=1e-3, replicates=200, seed=SEED_NONTIGHT,
-        process="gaussian",
+    rep, contrast = nontightness_experiment(
+        chain_spec, K=2, j_level=4, delta=1e-3, replicates=200, seed=SEED_NONTIGHT, contrast=True
     )
     elapsed = time.time() - t0
     prob = rep.stats["empirical_probability"]
@@ -306,7 +302,7 @@ def test_criterion_10_reproducibility(chain_spec, tmp_path):
         ),
         (
             "nontightness",
-            lambda: nontightness_experiment(chain_spec, 2, 3, 0.1, 60, seed=8),
+            lambda: nontightness_experiment(chain_spec, 2, 3, 0.1, 60, seed=8)[0],
         ),
         (
             "martingale",

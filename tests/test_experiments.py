@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -477,7 +478,7 @@ class TestFirstPassage:
 
 class TestNontightness:
     def test_toy_level_reproduces_bound(self, chain_spec):
-        rep = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=150, seed=5)
+        (rep,) = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=150, seed=5)
         assert rep.passed
         assert rep.stats["n"] == 129
         assert rep.stats["theoretical_lower_bound"] == pytest.approx(0.886, abs=0.01)
@@ -490,9 +491,10 @@ class TestNontightness:
         # delta) property checked in the acceptance suite; at toy scale the
         # window fraction is too coarse for any process to sit below the
         # threshold, so only the mechanics are asserted here
-        rep = nontightness_experiment(
-            chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=5, process="gaussian"
+        chain, rep = nontightness_experiment(
+            chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=5, contrast=True
         )
+        assert chain.config["process"] == "renewal" and rep.config["process"] == "gaussian"
         sigma = math.sqrt(renewal_variance_constant(chain_spec))
         assert rep.stats["sigma_contrast"] == pytest.approx(sigma, rel=1e-14)
         assert "theoretical_lower_bound" not in rep.stats
@@ -522,24 +524,23 @@ class TestNontightness:
     def test_values_do_not_depend_on_cpus(self, chain_spec, monkeypatch, process, cpus):
         # One worker, and three workers for 11 replicates (more threads than
         # the host may have cores, switching often), give the oracle's bits:
-        # two workers sharing a row buffer or a set of block arrays would not.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _assert_matches_oracle(chain_spec, process, 5)
-        finally:
-            sys.setswitchinterval(interval)
+        # two workers sharing a buffer or a walk would not.  So do rows of
+        # 258 steps at window 12 walked in spans of 48 steps (_ROW_SPAN 1
+        # gives 4 windows), 64, whose last span of 2 steps is shorter than
+        # the window carried over, 197, or one span (1000).
+        _on_cpus(monkeypatch, cpus)
+        with _switching_often():
+            for span in (1, 64, 197, 1000):
+                _assert_matches_oracle(chain_spec, process, 5, span)
 
     def test_long_rows_on_three_workers(self, chain_spec, monkeypatch):
-        # Headline-length chain rows (392832 steps, about 18 blocks each),
-        # three at a time: each worker walks its blocks in its own pair of
-        # arrays.  The reference is sample_batch, whose rows are the
-        # stepped chain's bit for bit (test_models.py), drawn on one thread.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        rep = nontightness_experiment(
+        # Headline-length chain rows (392832 steps, about 18 blocks each, in
+        # 3 spans), three at a time: each worker walks its blocks and spans
+        # in its own arrays.  The reference is sample_batch, whose rows are
+        # the stepped chain's bit for bit (test_models.py), drawn on one
+        # thread.
+        _on_cpus(monkeypatch, 3)
+        (rep,) = nontightness_experiment(
             chain_spec, K=2, j_level=4, delta=1e-3, replicates=6, seed=5
         )
         length, window = rep.stats["path_length"], rep.stats["window"]
@@ -566,8 +567,7 @@ class TestNontightness:
             draws.append(threading.get_ident())
             return substream(seed, r)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _on_cpus(monkeypatch, 3)
         monkeypatch.setattr(experiments, "windowed_max_batch", batch)
         monkeypatch.setattr(experiments, "windowed_maxima", sweep)
         monkeypatch.setattr(experiments, "substream", stream)
@@ -579,42 +579,39 @@ class TestNontightness:
 
     def test_memory_holds_a_few_rows(self, chain_spec, monkeypatch):
         # Headline-shape chain rows (392833 partial sums, 3.1 MB) on two
-        # workers: each has one row buffer, and its sweep's temporaries are
-        # bounded by a column span, not by the row, so the traced peak stays
-        # below 4 rows, and 16 replicates peak at most one row above 8.  The
-        # peak moves with how the two workers' sweeps overlap, so 8
-        # replicates are run three times and read at their highest.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # workers: each holds one span of 2^17 sums and a window, and its
+        # sweep's temporaries are bounded by a column span, so the traced
+        # peak stays below 2.25 rows (3.0-3.2 when each worker held a whole
+        # row), and 16 replicates peak at most one row above 8.  The peak
+        # moves with how the two workers' sweeps overlap, so 8 replicates
+        # are run three times and read at their highest.
+        _on_cpus(monkeypatch, 2)
         row = 8 * 392833
 
-        def peak(replicates):
-            tracemalloc.start()
-            try:
-                nontightness_experiment(
-                    chain_spec, K=2, j_level=4, delta=1e-3, replicates=replicates, seed=5
-                )
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        eight = max(_traced_peak(chain_spec, 2, 8) for _ in range(3))
+        assert eight < 2.25 * row
+        assert _traced_peak(chain_spec, 2, 16) < eight + row
 
-        eight = max(peak(8) for _ in range(3))
-        assert eight < 4 * row
-        assert peak(16) < eight + row
+    def test_memory_does_not_grow_with_the_row(self, chain_spec, monkeypatch):
+        # Rows of 1571328 steps (K = 8) hold the same spans and window as
+        # rows of 392832 (K = 2): two replicates peak less than a quarter
+        # higher, where a worker holding its whole row peaked 4 times higher
+        # (33.7 MB against 8.6 MB).
+        _on_cpus(monkeypatch, 2)
+        assert _traced_peak(chain_spec, 8, 2) < 1.25 * _traced_peak(chain_spec, 2, 2)
 
     @pytest.mark.parametrize("process", ["renewal", "gaussian"])
     def test_row_error_propagates(self, chain_spec, monkeypatch, process):
         # Every row from replicate 4 on raises on a worker, inside the
-        # chain's sampler or the Gaussian fill: the run ends with the
-        # exception, and nothing waits forever.
+        # chain's walk or, with the contrast, the Gaussian fill too: the run
+        # ends with the exception, and nothing waits forever.
         class Broken:
             def random(self, *args, **kwargs):
                 raise OverflowError("row")
 
             standard_normal = random
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _on_cpus(monkeypatch, 2)
         monkeypatch.setattr(
             experiments, "substream", lambda seed, r: Broken() if r >= 4 else substream(seed, r)
         )
@@ -624,7 +621,7 @@ class TestNontightness:
             try:
                 nontightness_experiment(
                     chain_spec, K=2, j_level=3, delta=0.1, replicates=11, seed=5,
-                    process=process,
+                    contrast=process == "gaussian",
                 )
             except OverflowError as exc:
                 caught.append(exc)
@@ -641,17 +638,51 @@ class TestNontightness:
             nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=0, seed=1)
 
     def test_report_reproducible(self, chain_spec):
-        a = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=6)
-        b = nontightness_experiment(chain_spec, K=2, j_level=3, delta=0.1, replicates=40, seed=6)
-        assert a.to_json() == b.to_json()
+        run = dict(K=2, j_level=3, delta=0.1, replicates=40, seed=6, contrast=True)
+        a, b = nontightness_experiment(chain_spec, **run), nontightness_experiment(chain_spec, **run)
+        assert [r.to_json() for r in a] == [r.to_json() for r in b]
 
 
-def _assert_matches_oracle(spec, process, seed):
-    """nontightness_experiment at 11 replicates against each replicate drawn
-    on its own, the chain by stepping it, and scanned alone."""
-    rep = nontightness_experiment(
-        spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed, process=process,
-    )
+def _on_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@contextlib.contextmanager
+def _switching_often():
+    """Threads switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _traced_peak(spec, K, replicates):
+    """The traced peak of a headline-shape run at path length 196416 K."""
+    tracemalloc.start()
+    try:
+        nontightness_experiment(spec, K=K, j_level=4, delta=1e-3, replicates=replicates, seed=5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_matches_oracle(spec, process, seed, span=experiments._ROW_SPAN):
+    """nontightness_experiment at 11 replicates, rows walked in spans of
+    ``span`` steps, against each replicate drawn on its own, the chain by
+    stepping it, and scanned alone.  ``process`` "gaussian" reads the
+    contrast's report."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_ROW_SPAN", span)
+        reports = nontightness_experiment(
+            spec, K=2, j_level=3, delta=0.1, replicates=11, seed=seed,
+            contrast=process == "gaussian",
+        )
+    rep = reports[-1]
+    assert rep.config["process"] == process
     length, window, threshold = (rep.stats[k] for k in ("path_length", "window", "threshold"))
     alpha = 0.5 - 1.0 / spec.p
     scale = float(length) ** (-1.0 / spec.p)
@@ -678,7 +709,9 @@ class TestRenewalIdentity:
             assert out["tol"] == 1e-10
 
     def test_first_return_from_zero(self, chain_spec):
-        states, inc = sample_renewal_path(chain_spec, 400, 3, start_state=0)
+        # Y_0 = 0 with probability pi_0 = 0.7355; seed 4 starts there.
+        states, inc = sample_renewal_path(chain_spec, 400, 4)
+        assert states[0] == 0
         t1 = int(np.nonzero(states[1:] == 0)[0][0]) + 1
         s_t1 = float(np.sum(inc[:t1]))
         assert s_t1 == pytest.approx(1 - chain_spec.pi0 * t1, abs=1e-10)

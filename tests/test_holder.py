@@ -572,6 +572,53 @@ class TestSpans:
         assert peak < 0.75 * row
 
 
+class TestFloor:
+    """A row swept in pieces passes the maximum of its earlier pieces as the
+    floor: the sweep starts its running maximum there, prunes from it, and
+    returns the larger of the floor and the maxima."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(long_sums_st(), many_rows_st(), floor_sums_st()),
+        alpha_st,
+        st.sampled_from([16, 48, 100, 1 << 16]),
+        st.data(),
+    )
+    def test_floor_or_maxima_bit_for_bit(self, s, alpha, span, data):
+        n = s.shape[1] - 1
+        windows = data.draw(windows_st(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holder, "_SPAN", span)
+            plain = windowed_maxima(s, alpha, windows)
+            # per row: 0, or below, at or above its maximum over the windows
+            top = plain.max(axis=0)
+            levels = {"zero": 0.0 * top, "below": 0.5 * top, "equal": top, "above": 2.0 * top + 1.0}
+            kinds = data.draw(st.lists(st.sampled_from(sorted(levels)), min_size=len(top), max_size=len(top)))
+            floor = np.array([levels[k][r] for r, k in enumerate(kinds)])
+            if data.draw(st.booleans()):
+                floor = float(floor[0])  # one floor for every row
+            got = windowed_maxima(s, alpha, windows, floor)
+        assert got.tobytes() == np.maximum(floor, plain).tobytes()
+
+    def test_a_floor_above_the_row_prunes_every_block(self):
+        # Nothing reaches a floor above the row's maximum: the sweep scans
+        # its top lag densely, and no other lag or start block.
+        rng = np.random.default_rng(2)
+        s = np.zeros((1, 4097))
+        np.cumsum(rng.standard_normal(4096), out=s[0, 1:])
+        top = windowed_maxima(s, 0.25, [196])[0, 0]
+        scans = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_dense_maxima", "_block_maxima"):
+                def spy(*args, fn=getattr(holder, name), name=name):
+                    scans.append(name)
+                    return fn(*args)
+
+                mp.setattr(holder, name, spy)
+            assert windowed_maxima(s, 0.25, [196], 2 * top)[0, 0] == 2 * top
+        assert scans == ["_dense_maxima"]
+
+
 class TestNormalizedStatistics:
     def test_vertex_identity(self):
         rng = np.random.default_rng(3)

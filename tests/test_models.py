@@ -37,7 +37,7 @@ from hwip.models import (
     sample_renewal_path,
     semigroup_partial_sums,
 )
-from hwip.models import _BLOCK, _RenewalSampler, _cdf_index, _choice_cdf
+from hwip.models import _BLOCK, _RenewalSampler, _RenewalWalk, _cdf_index, _choice_cdf
 from hwip.rng import substream
 
 from conftest import brute_force_partial_sum, mc_conditional_sums, stepped_renewal_path
@@ -160,8 +160,8 @@ class TestRenewalPath:
         s2, i2 = sample_renewal_path(chain_spec, 100, 9)
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(i1, i2)
-        s3, _ = sample_renewal_path(chain_spec, 100, 9, start_state=0)
-        assert s3[0] == 0
+        # Y_0 = 0 with probability pi_0 = 0.7355; seed 9 starts there.
+        assert s1[0] == 0
 
     def test_empirical_mean_near_zero(self, chain_spec):
         _, inc = sample_renewal_path(chain_spec, 10 ** 6, 31)
@@ -173,8 +173,34 @@ class TestRenewalPath:
             sample_renewal_path(chain_spec, 0, 1)
 
 
+class _FirstUniform(np.random.Generator):
+    """``substream(seed)`` whose first ``random()`` returns ``u`` and leaves
+    the stream untouched.  The sampler draws Y_0 by that one call, so a
+    chosen u starts its chain in a chosen state, and the stream's uniforms
+    go to the return times, as the stepped oracle's do when it is given
+    that state."""
+
+    def __init__(self, seed, u):
+        super().__init__(substream(seed).bit_generator)
+        self.first = u
+
+    def random(self, *args, **kwargs):
+        if self.first is None:
+            return super().random(*args, **kwargs)
+        u, self.first = self.first, None
+        return u
+
+
+def _starting_in(spec, start, seed):
+    """A generator from which the sampler's chain starts in state ``start``:
+    the smallest u that the stationary CDF maps to it."""
+    cdf = _choice_cdf(spec.pi / spec.pi.sum())
+    return _FirstUniform(seed, float(cdf[start - 1]) if start else 0.0)
+
+
 def _assert_matches_stepping(spec, length, seed, start_state):
-    states, inc = sample_renewal_path(spec, length, seed, start_state)
+    rng = substream(seed) if start_state is None else _starting_in(spec, start_state, seed)
+    states, inc = sample_renewal_path(spec, length, rng)
     ref_states, ref_inc = stepped_renewal_path(spec, length, seed, start_state)
     assert states.dtype == np.int64 and inc.dtype == ref_inc.dtype
     np.testing.assert_array_equal(states, ref_states)
@@ -273,18 +299,55 @@ class TestRenewalPathMatchesStepping:
         _assert_matches_stepping(spec, 60000, 7, start)
 
     def test_blocks_allocate_nothing(self):
-        # Three blocks walked in the sampler's scratch arrays allocate no
-        # temporaries; one index array per block would take 128 KiB.
+        # Three blocks walked in the walk's arrays allocate no temporaries;
+        # one index array per block would take 128 KiB.
         sampler = _RenewalSampler(build_renewal_chain(3.0, 5), 60000)
-        out, scratch = np.empty(60000), sampler.scratch()
-        sampler.row(substream(7), out, scratch=scratch)
+        out, walk = np.empty(60000), _RenewalWalk(sampler)
+        sampler.row(substream(7), out, walk)
         tracemalloc.start()
         try:
-            sampler.row(substream(8), out, scratch=scratch)
+            sampler.row(substream(8), out, walk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 << 10
+
+    # Rows filled span after span against the row in one span: spans of a
+    # drawn size, or cut just after or just before one of the row's
+    # returns, so that it lands on a span's last or first step; blocks of
+    # 1 and 7 return times too, so blocks end inside spans and spans
+    # inside blocks.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([1, 7, None]),
+        st.data(),
+    )
+    @example(1, 0, None, None)
+    @example(2000, 3, 1, None)
+    def test_spans_are_the_row(self, chain_spec, length, seed, block, data):
+        sampler = _RenewalSampler(chain_spec, length)
+        sampler.block = block or sampler.block
+        whole, rng = np.empty(length), substream(seed)
+        y0, after = sampler.row(rng, whole, _RenewalWalk(sampler))
+        following = rng.random()
+        returns = np.flatnonzero(whole > 0).tolist()
+        cut = data.draw(st.sampled_from(["any", "last", "first"])) if data else "last"
+        if not returns:
+            span = length
+        elif cut == "any":
+            span = data.draw(st.integers(min_value=1, max_value=length))
+        else:  # the return at step t + 1 is a span's last step, or the next span's first
+            t = data.draw(st.sampled_from(returns)) if data else returns[0]
+            span = t + 1 if cut == "last" else max(t, 1)
+        walk, rng, spans = _RenewalWalk(sampler), substream(seed), np.empty(length)
+        assert walk.start(rng) == y0
+        for start in range(0, length, span):
+            nxt = start + walk.fill(spans[start : start + span])
+        assert spans.tobytes() == whole.tobytes()
+        assert nxt == after
+        assert rng.random() == following
 
     def test_every_length_up_to_400(self, chain_spec):
         # Every length, so some paths end exactly on a later return too.
