@@ -20,7 +20,8 @@ verdict failed, 2 a run the engine cannot take: ``configuration error:
 <key>: ...`` for a key ill-typed, past a size budget, or naming a model or
 variant without the oracle the run needs (each a ``ConfigError``, raised
 where it is checked), and ``error: ...`` for a file or an allocation that
-fails.
+fails, or for a report holding an infinity or NaN, which JSON cannot hold
+(it names the report, and no file of that report is written).
 
 Seed resolution order: --seed flag, then the config file's ``seed``, then
 the published default.  ``report`` uses no seed and reads no key, so it
@@ -58,7 +59,6 @@ from .experiments import (
     STEP_BUDGET,
     CertificationReport,
     _check_steps,
-    _subsequence_scale,
     certify_dyadic_lemma,
     certify_martingale_inequality,
     certify_mw_inequality,
@@ -144,8 +144,12 @@ _COUNTEREXAMPLE = {
 
 
 def _write_outputs(out_dir: Path, name: str, report: CertificationReport) -> None:
+    try:
+        text = report.to_json()
+    except ValueError as exc:  # an infinity or NaN has no JSON form
+        raise ValueError(f"report_{name}.json: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"report_{name}.json").write_text(report.to_json() + "\n")
+    (out_dir / f"report_{name}.json").write_text(text + "\n")
     if report.replicate_rows:
         with open(out_dir / f"replicates_{name}.csv", "w", newline="") as fp:
             report.write_replicates_csv(fp)
@@ -272,8 +276,8 @@ def _fdd(v: dict, seed: int) -> CertificationReport:
 def _tightness(v: dict, seed: int) -> CertificationReport:
     spec = build_renewal_chain(v.pop("p"), v.pop("depth"))
     if v["epsilon"] is None:
-        # The counterexample's threshold at K = 2; level 1 with delta = 1 passes its checks.
-        v["epsilon"] = _subsequence_scale(spec, 2, 1, 1.0)[3]
+        # The counterexample's threshold pi_0 / (2 K^(1/p)) at K = 2.
+        v["epsilon"] = spec.pi0 / (2.0 * 2.0 ** (1.0 / spec.p))
     return holder_tightness_diagnostic(gaussian_contrast_model(spec), p=spec.p, seed=seed, **v)
 
 

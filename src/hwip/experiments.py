@@ -62,10 +62,10 @@ __all__ = [
 #: Total simulated steps allowed for one sampled run (n * replicates).
 STEP_BUDGET = 1 << 31
 
-#: Partial sums held per chunk: the sampled suites draw and sweep their
-#: paths in chunks of about this many, and the dyadic lemma sweeps its
-#: stacked rows in such chunks, so a chunk's buffer and the temporaries of
-#: its sweep stay near 8 MB whatever the number of paths.
+#: Partial sums held per chunk of ``_partial_sum_chunks``: the sampled
+#: suites and the dyadic lemma draw and sweep their paths in chunks of
+#: about this many, so a chunk's buffer and the temporaries of its sweep
+#: stay near 8 MB whatever the number of paths.
 _CHUNK_SUMS = 1 << 20
 
 #: n at or below which the first-passage tail is computed by exact convolution.
@@ -126,7 +126,7 @@ class CertificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     def write_replicates_csv(self, fp: IO[str]) -> None:
         w = csv.writer(fp)
@@ -153,14 +153,6 @@ def _alpha(p: float) -> float:
     return 0.5 - 1.0 / p
 
 
-def _partial_sums(increments: np.ndarray) -> np.ndarray:
-    r, n = increments.shape
-    s = np.empty((r, n + 1))
-    s[:, 0] = 0.0
-    np.cumsum(increments, axis=1, out=s[:, 1:])
-    return s
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -180,26 +172,43 @@ def _check_steps(key: str, n: int, replicates: int, count_key: str = "replicates
         )
 
 
-def _partial_sum_chunks(model: ProcessModel, n: int, replicates: int, seed: int):
-    """Yield ``(start, s)``: the partial sums ``S_0 .. S_n`` of replicates
-    start, start + 1, ... as the rows of ``s``, row r drawn from
-    ``substream(seed, r)`` as ``sample_batch`` draws it.
+def _partial_sum_chunks(models: Sequence[ProcessModel], n: int, per_model: int, seed: int):
+    """Yield ``(start, s, parts)`` over the stacked rows of the models:
+    ``per_model`` rows each, row r of model m drawn from ``substream(seed +
+    m, r)`` by that model's ``_sampler``, as ``sample_model(model, n,
+    substream(seed + m, r))`` draws it.  ``s`` holds stacked rows start,
+    start + 1, ..., its column 0 zero and the increments after it, and
+    ``parts`` pairs each model m the chunk holds with the slice of its rows.
 
-    Every ``s`` is a view of one buffer of about ``_CHUNK_SUMS`` sums whose
-    column 0 is zero, refilled for the next chunk: a caller takes what it
-    needs from a chunk before it asks for the next.  Each row is summed in
-    place, in order, so its sums are those of ``np.cumsum`` on its
-    increments.
+    Every ``s`` is a view of one buffer of about ``_CHUNK_SUMS`` sums,
+    refilled for the next chunk: a caller takes what it needs from a chunk
+    (summing it in place, when it sweeps it) before it asks for the next.
+    A row depends only on its own stream, so where the chunks end, and
+    whether they span two models, cannot show.
     """
-    sampler = _sampler(model, n)
-    rows = max(1, min(replicates, _CHUNK_SUMS // (n + 1)))
+    samplers = [_sampler(model, n) for model in models]
+    streams = [substreams(seed + m, per_model) for m in range(len(models))]
+    total = len(models) * per_model
+    rows = max(1, min(total, _CHUNK_SUMS // (n + 1)))
     buf = np.zeros((rows, n + 1))
-    rngs = substreams(seed, replicates)
-    for start in range(0, replicates, rows):
-        s = buf[: min(rows, replicates - start)]
-        steps = s[:, 1:]
-        sampler.fill(rngs, steps)
-        np.cumsum(steps, axis=1, out=steps)
+    for start in range(0, total, rows):
+        s = buf[: min(rows, total - start)]
+        stop = start + len(s)
+        parts = []
+        for m in range(start // per_model, (stop - 1) // per_model + 1):
+            part = slice(max(start, m * per_model) - start, min(stop, (m + 1) * per_model) - start)
+            samplers[m].fill(streams[m], s[part, 1:])
+            parts.append((m, part))
+        yield start, s, parts
+
+
+def _summed_chunks(model: ProcessModel, n: int, replicates: int, seed: int):
+    """Yield ``(start, s)``: ``_partial_sum_chunks`` of the one model, each
+    row summed in place, in order, so ``s`` holds replicates start, start +
+    1, ... as ``S_0 .. S_n``, the sums of ``np.cumsum`` on their
+    increments."""
+    for start, s, _ in _partial_sum_chunks([model], n, replicates, seed):
+        np.cumsum(s[:, 1:], axis=1, out=s[:, 1:])
         yield start, s
 
 
@@ -227,15 +236,6 @@ def _dyadic_grid(n_max: int) -> list[int]:
 _LEMMA_REL_TOL = 1e-9
 
 
-def _lemma_sides(hn: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the increments ``hn``: ``M(n, h)`` and
-    ``6 max_k |h_k| + 2^(-alpha) M(n//2, pairwise-summed h)``."""
-    lhs = windowed_max_batch(_partial_sums(hn), alpha, hn.shape[1])
-    coarse = pairwise_coarsen(hn)
-    half = windowed_max_batch(_partial_sums(coarse), alpha, coarse.shape[1])
-    return lhs, 6.0 * np.abs(hn).max(axis=1) + 2.0 ** (-alpha) * half
-
-
 def certify_dyadic_lemma(
     models: Sequence[ProcessModel],
     paths_per_model: int,
@@ -252,15 +252,16 @@ def certify_dyadic_lemma(
     relative tolerance ``_LEMMA_REL_TOL``; the worst (smallest) slack is
     reported.
 
-    Model m's paths are ``sample_batch(model, n_max, paths_per_model,
-    seed + m)``.  The models' paths are stacked and filled in chunks of
-    ``_CHUNK_SUMS // (n_max + 1)`` rows, which may span models (each model
-    draws from its own sampler and stream, so its rows are those of
-    ``sample_batch``); each chunk is swept at every n of the grid and
-    reduced to per-model minima and counts before the next is drawn.
-    ``certify --suite all``'s 600 paths of 256 steps are one chunk.  Rows
-    are independent, so every maximum is the one a model-by-model sweep
-    gives, and the minima do not depend on where the chunks end.
+    Model m's paths are rows of ``_partial_sum_chunks(models, n_max,
+    paths_per_model, seed)``.  Per chunk, before its rows are summed in
+    place, ``max_k |h_k|`` is read at each n of the grid and the pairwise
+    sums are summed into their own buffer; then both sides at each n are
+    the sweeps of the prefixes ``s[:, :n+1]`` and ``half[:, :n//2+1]``,
+    reduced to per-model minima and counts before the next chunk is drawn.
+    A cumsum's prefix is the cumsum of the prefix, and for the even n of
+    the grid the pairwise sums of ``h[:, :n]`` are the first n//2 of those
+    of h, so each prefix holds the sums of the path cut at n, bit for bit.
+    ``certify --suite all``'s 600 paths of 256 steps are one chunk.
     """
     if n_max > 4096:
         raise ConfigError(f"n_max: {n_max} is above 4096, the budget of exact evaluation")
@@ -273,25 +274,19 @@ def certify_dyadic_lemma(
     if not grid:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     _check_steps("n_max", n_max, len(models) * paths_per_model, "paths_per_model")
-    per = paths_per_model
-    total = len(models) * per
-    samplers = [_sampler(model, n_max) for model in models]
-    streams = [substreams(seed + m, per) for m in range(len(models))]
     shape = (len(models), len(grid))
     min_slack, min_rel = np.full(shape, np.inf), np.full(shape, np.inf)
     violations = np.zeros(shape, dtype=np.int64)
-    rows = max(1, min(total, _CHUNK_SUMS // (n_max + 1)))
-    buf = np.empty((rows, n_max))
-    for start in range(0, total, rows):
-        h = buf[: min(rows, total - start)]
-        stop = start + len(h)
-        parts = []  # (model, rows of h) for each model the chunk holds
-        for m in range(start // per, (stop - 1) // per + 1):
-            part = slice(max(start, m * per) - start, min(stop, (m + 1) * per) - start)
-            samplers[m].fill(streams[m], h[part])
-            parts.append((m, part))
+    for _, s, parts in _partial_sum_chunks(models, n_max, paths_per_model, seed):
+        h = s[:, 1:]
+        top = [np.abs(h[:, :n]).max(axis=1) for n in grid]
+        half = np.zeros((len(h), n_max // 2 + 1))
+        np.cumsum(pairwise_coarsen(h), axis=1, out=half[:, 1:])
+        np.cumsum(h, axis=1, out=h)
         for j, n in enumerate(grid):
-            lhs, rhs = _lemma_sides(h[:, :n], alpha)
+            lhs = windowed_max_batch(s[:, : n + 1], alpha, n)
+            coarse = windowed_max_batch(half[:, : n // 2 + 1], alpha, n // 2)
+            rhs = 6.0 * top[j] + 2.0 ** (-alpha) * coarse
             slack = rhs - lhs
             rel = slack / np.where(rhs > 0, rhs, 1.0)
             bad = lhs > rhs * (1.0 + _LEMMA_REL_TOL)
@@ -351,7 +346,7 @@ def _m_statistics(
     n_max = n_grid[-1]
     _check_steps("n_grid", n_max, replicates)
     stats = {n: np.empty(replicates) for n in n_grid}
-    for start, s in _partial_sum_chunks(model, n_max, replicates, seed):
+    for start, s in _summed_chunks(model, n_max, replicates, seed):
         for n, values in stats.items():
             values[start : start + len(s)] = windowed_max_batch(s[:, : n + 1], alpha, n)
     return stats
@@ -563,7 +558,7 @@ def fdd_convergence_test(
     cols = sorted({n, *floors, *(k + 1 for k in floors)})
     at = {col: c for c, col in enumerate(cols)}
     kept = np.empty((len(cols), replicates))
-    for start, s in _partial_sum_chunks(model, n, replicates, seed):
+    for start, s in _summed_chunks(model, n, replicates, seed):
         kept[:, start : start + len(s)] = s[:, cols].T
     eta_hat = float(np.var(kept[at[n]], ddof=1) / n)
     eta_se = eta_hat * math.sqrt(2.0 / max(replicates - 1, 1))
@@ -665,7 +660,7 @@ def holder_tightness_diagnostic(
     _check_steps("n_grid", max(n_grid), replicates)
     windows = {n: [max(int(math.floor(n * d)), 1) for d in deltas] for n in n_grid}
     maxima = {n: np.empty((len(deltas), replicates)) for n in n_grid}
-    for start, s in _partial_sum_chunks(model, max(n_grid), replicates, seed):
+    for start, s in _summed_chunks(model, max(n_grid), replicates, seed):
         for n, out in maxima.items():
             out[:, start : start + len(s)] = windowed_maxima(s[:, : n + 1], alpha, windows[n])
     for n in n_grid:

@@ -39,7 +39,7 @@ from ._special import gammaln
 from .config import (
     ConfigError, as_given, at_least, expect_number, expect_p, number_or_null, one_of, read,
 )
-from .rng import as_generator, substreams
+from .rng import as_generator
 
 __all__ = [
     "InnovationLaw",
@@ -65,7 +65,6 @@ __all__ = [
     "renewal_model",
     "gaussian_contrast_model",
     "sample_model",
-    "sample_batch",
     "apply_PT",
     "semigroup_partial_sums",
 ]
@@ -510,16 +509,11 @@ class _RenewalSampler:
         self.taus = spec.tau_values
         self.block = min(max(64, int(1.2 * (n / spec.mean_tau)) + 8), _BLOCK)
 
-    def row(self, rng: np.random.Generator, out: np.ndarray, walk: "_RenewalWalk") -> tuple[int, int]:
-        """g(Y_1), ..., g(Y_n) into ``out`` in one span.  Returns Y_0 and
-        the first return past n."""
-        y0 = walk.start(rng)
-        return y0, walk.fill(out)
-
     def fill(self, rngs, out: np.ndarray) -> None:
         walk = _RenewalWalk(self)
         for row, rng in zip(out, rngs):
-            self.row(rng, row, walk)
+            walk.start(rng)
+            walk.fill(row)
 
 
 class _RenewalWalk:
@@ -588,18 +582,20 @@ def sample_renewal_path(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (Y_0, ..., Y_length) and the increments (g(Y_1), ..., g(Y_length)).
 
-    Y_0 is drawn from the stationary law.  The increments are
-    ``_RenewalSampler.row``'s, and the states are rebuilt from its returns:
-    those marked in the increments and the first one past ``length``.  With r_0 = 0 < r_1 < r_2 < ... these returns, the times t in
-    (r_{i-1}, r_i] all wait for r_i, so ``Y_t = r_i - t`` there:
+    Y_0 is drawn from the stationary law.  The increments are one
+    ``_RenewalWalk``'s row, filled in one span, and the states are rebuilt
+    from its returns: those marked in the increments and the first one past
+    ``length``.  With r_0 = 0 < r_1 < r_2 < ... these returns, the times t
+    in (r_{i-1}, r_i] all wait for r_i, so ``Y_t = r_i - t`` there:
     ``Y_1, ..., Y_length`` is ``repeat(r, diff(r))`` minus ``1, ..., length``.
     """
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
     increments = np.empty(length)
-    sampler = _RenewalSampler(spec, length)
-    y0, after = sampler.row(as_generator(seed), increments, _RenewalWalk(sampler))
+    walk = _RenewalWalk(_RenewalSampler(spec, length))
+    y0 = walk.start(as_generator(seed))
+    after = walk.fill(increments)
     returns = np.append(np.flatnonzero(increments > 0) + 1, after)
     states = np.empty(length + 1, dtype=np.int64)
     states[0] = y0
@@ -942,22 +938,6 @@ def sample_model(model: ProcessModel, n: int, seed) -> np.ndarray:
     out = np.empty((1, sampler.n))
     sampler.fill([as_generator(seed)], out)
     return out[0]
-
-
-def sample_batch(model: ProcessModel, n: int, replicates: int, seed: int) -> np.ndarray:
-    """(replicates, n) increment matrix whose row r is, bit for bit,
-    ``sample_model(model, n, substream(seed, r))``.
-
-    The rows come from one re-keyed generator (``substreams``), the model's
-    constants are set up once, and the window kinds draw and evaluate a
-    chunk of rows at a time.  The sampled suites and the dyadic lemma fill
-    bounded chunks of rows from the same sampler and streams, so their rows
-    are this matrix's; the tests use it as their reference.
-    """
-    sampler = _sampler(model, n)
-    out = np.empty((replicates, sampler.n))
-    sampler.fill(substreams(seed, replicates), out)
-    return out
 
 
 def apply_PT(model: ProcessModel, variant: str, h):

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's optimized code paths:
 pair maxima by double loop or by the dense per-lag sweep, the continuous
 modulus by dense grid search, conditional sums and renewal paths by
 direct chain stepping, semigroup partial sums by applying P^i afresh for
-every i.
+every i, a batch of paths by one ``sample_model`` call per row, and the
+dyadic lemma's sides by summing each prefix afresh.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hwip.holder import PolygonalPath
-from hwip.models import RenewalChainSpec, apply_PT
+from hwip.experiments import _LEMMA_REL_TOL
+from hwip.holder import PolygonalPath, pairwise_coarsen, windowed_max_batch
+from hwip.models import RenewalChainSpec, apply_PT, sample_model
 from hwip.rng import substream
 
 #: One line per acceptance criterion, echoed after the run (see the
@@ -159,6 +161,50 @@ def stepped_renewal_path(
         states.append(y)
     increments = [(1.0 if y == 0 else 0.0) - spec.pi0 for y in states[1:]]
     return np.array(states, dtype=np.int64), np.array(increments)
+
+
+def per_row_batch(model, n, replicates, seed):
+    """(replicates, n) increments, row r drawn alone by
+    ``sample_model(model, n, substream(seed, r))``: the rows every
+    chunk of the sampled suites and the dyadic lemma must hold."""
+    return np.array([sample_model(model, n, substream(seed, r)) for r in range(replicates)])
+
+
+def lemma_sides(hn, alpha):
+    """Per row of the increments ``hn``: ``M(n, h)`` and
+    ``6 max_k |h_k| + 2^(-alpha) M(n//2, pairwise-summed h)``, each side
+    swept on partial sums made afresh from the n increments."""
+
+    def sums(h):
+        return np.concatenate([np.zeros((len(h), 1)), np.cumsum(h, axis=1)], axis=1)
+
+    lhs = windowed_max_batch(sums(hn), alpha, hn.shape[1])
+    coarse = pairwise_coarsen(hn)
+    half = windowed_max_batch(sums(coarse), alpha, coarse.shape[1])
+    return lhs, 6.0 * np.abs(hn).max(axis=1) + 2.0 ** (-alpha) * half
+
+
+def lemma_per_point(models, paths_per_model, n_max, p, seed):
+    """``certify_dyadic_lemma``'s per_point, model by model: model m's
+    ``per_row_batch`` at seed + m, cut at each dyadic n and given to
+    ``lemma_sides``."""
+    alpha = 0.5 - 1.0 / p
+    points = []
+    for m, model in enumerate(models):
+        h = per_row_batch(model, n_max, paths_per_model, seed + m)
+        n = 2
+        while n <= n_max:
+            lhs, rhs = lemma_sides(h[:, :n], alpha)
+            slack = rhs - lhs
+            points.append({
+                "model": model.label,
+                "n": n,
+                "min_slack": float(slack.min()),
+                "min_relative_slack": float((slack / np.where(rhs > 0, rhs, 1.0)).min()),
+                "violations": int((lhs > rhs * (1.0 + _LEMMA_REL_TOL)).sum()),
+            })
+            n *= 2
+    return points
 
 
 @pytest.fixture(scope="session")

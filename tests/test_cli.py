@@ -550,6 +550,20 @@ class TestNormsCommand:
         doc = json.loads((tmp_path / "report_mw_series.json").read_text())
         assert doc["verdict"] == "converges"
 
+    @pytest.mark.parametrize("which, name", [("mw-norm", "mw_norm"), ("mw-series", "mw_series")])
+    def test_non_finite_report_exits_2_and_writes_nothing(self, tmp_path, capsys, which, name):
+        # At scale 1e200 the norms overflow to infinity (and mw-series' rows
+        # to NaN), which JSON cannot hold: mw-norm exited 1 and mw-series 0,
+        # each writing a report of Infinity and NaN tokens.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "iid", "scale": 1e200}}))
+        out = tmp_path / "out"
+        code = run(["norms", "--which", which, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: report_{name}.json:" in err and "Traceback" not in err
+        assert not list(out.glob("*"))
+
 
 class TestSimulateAndReport:
     @pytest.mark.parametrize(

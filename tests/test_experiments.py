@@ -42,12 +42,11 @@ from hwip.models import (
     mds_model,
     renewal_model,
     renewal_variance_constant,
-    sample_batch,
     sample_renewal_path,
 )
 from hwip.rng import substream
 
-from conftest import stepped_renewal_path
+from conftest import lemma_per_point, per_row_batch, stepped_renewal_path
 
 
 class TestConstants:
@@ -109,6 +108,30 @@ class TestDyadicLemmaCertificate:
             "violations": sum(r.stats["violations"] for r in alone),
         }
         assert json.dumps(rep.stats) == json.dumps(stats)
+
+    # Both sides of the lemma at every n are sweeps of prefixes of one
+    # chunk's sums; the oracle draws each model's rows alone and sums each
+    # prefix afresh.  n_max odd (a trailing increment the pairwise sums
+    # drop) and even; chunks of one row (budget 1, and 300 at n_max 257 or
+    # 300), of three rows that may span models (1000 at 257 or 300), and
+    # of all rows (the default).
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 257, 300]),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([1, 300, 1000, None]),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(300, 5, 1000, 2**64 - 2)
+    @example(3, 4, 300, 7)
+    def test_per_point_is_the_prefix_oracle(self, n_max, paths, budget, seed):
+        models = [iid_model("normal"), mds_model("rademacher", 0.5), renewal_model(3.0, 4)]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(experiments, "_CHUNK_SUMS", budget)
+            rep = certify_dyadic_lemma(models, paths, n_max, 3.0, seed)
+        expected = lemma_per_point(models, paths, n_max, 3.0, seed)
+        assert json.dumps(rep.per_point) == json.dumps(expected)
 
     def test_no_models_is_rejected(self):
         with pytest.raises(ValueError, match="models"):
@@ -536,16 +559,16 @@ class TestNontightness:
     def test_long_rows_on_three_workers(self, chain_spec, monkeypatch):
         # Headline-length chain rows (392832 steps, about 18 blocks each, in
         # 3 spans), three at a time: each worker walks its blocks and spans
-        # in its own arrays.  The reference is sample_batch, whose rows are
-        # the stepped chain's bit for bit (test_models.py), drawn on one
-        # thread.
+        # in its own arrays.  The reference is one sample_model call per
+        # row, whose rows are the stepped chain's bit for bit
+        # (test_models.py), drawn on one thread.
         _on_cpus(monkeypatch, 3)
         (rep,) = nontightness_experiment(
             chain_spec, K=2, j_level=4, delta=1e-3, replicates=6, seed=5
         )
         length, window = rep.stats["path_length"], rep.stats["window"]
         s = np.zeros((6, length + 1))
-        s[:, 1:] = np.cumsum(sample_batch(renewal_model(3.0, 4), length, 6, 5), axis=1)
+        s[:, 1:] = np.cumsum(per_row_batch(renewal_model(3.0, 4), length, 6, 5), axis=1)
         values = float(length) ** (-1.0 / 3.0) * windowed_max_batch(s, 0.5 - 1.0 / 3.0, window)
         assert [v for _, v, _ in rep.replicate_rows] == values.tolist()
 
@@ -733,8 +756,9 @@ class TestSharedStatistics:
 
 
 class TestPartialSumChunks:
-    """The sampled suites draw their paths through one bounded buffer of
-    ``_CHUNK_SUMS`` partial sums; where its chunks end must not show."""
+    """The sampled suites and the dyadic lemma draw their paths through one
+    bounded buffer of ``_CHUNK_SUMS`` partial sums; where its chunks end
+    must not show."""
 
     # 37 replicates of 65 sums: 4 rows a chunk at 300 sums (the last chunk
     # holds one row), one row a chunk at 1.
@@ -759,11 +783,11 @@ class TestPartialSumChunks:
         assert self.RUNS[suite]() == whole
 
     @pytest.mark.parametrize("model", [mds_model("rademacher"), renewal_model(3.0, 4)], ids=lambda m: m.label)
-    def test_chunks_are_the_partial_sums_of_sample_batch(self, monkeypatch, model):
+    def test_chunks_sum_the_rows(self, monkeypatch, model):
         monkeypatch.setattr(experiments, "_CHUNK_SUMS", 300)
-        expected = np.cumsum(sample_batch(model, 64, 37, 3), axis=1)
+        expected = np.cumsum(per_row_batch(model, 64, 37, 3), axis=1)
         starts = []
-        for start, s in experiments._partial_sum_chunks(model, 64, 37, 3):
+        for start, s in experiments._summed_chunks(model, 64, 37, 3):
             starts.append(start)
             assert not s[:, 0].any()
             np.testing.assert_array_equal(s[:, 1:], expected[start : start + len(s)])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sstats
 
+import hwip.experiments as experiments
 from hwip.config import ConfigError
 from hwip.models import (
     NORMAL,
@@ -32,7 +33,6 @@ from hwip.models import (
     model_from_dict,
     renewal_model,
     renewal_variance_constant,
-    sample_batch,
     sample_model,
     sample_renewal_path,
     semigroup_partial_sums,
@@ -303,10 +303,12 @@ class TestRenewalPathMatchesStepping:
         # one index array per block would take 128 KiB.
         sampler = _RenewalSampler(build_renewal_chain(3.0, 5), 60000)
         out, walk = np.empty(60000), _RenewalWalk(sampler)
-        sampler.row(substream(7), out, walk)
+        walk.start(substream(7))
+        walk.fill(out)
         tracemalloc.start()
         try:
-            sampler.row(substream(8), out, walk)
+            walk.start(substream(8))
+            walk.fill(out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,8 +331,9 @@ class TestRenewalPathMatchesStepping:
     def test_spans_are_the_row(self, chain_spec, length, seed, block, data):
         sampler = _RenewalSampler(chain_spec, length)
         sampler.block = block or sampler.block
-        whole, rng = np.empty(length), substream(seed)
-        y0, after = sampler.row(rng, whole, _RenewalWalk(sampler))
+        whole, rng, walk = np.empty(length), substream(seed), _RenewalWalk(sampler)
+        y0 = walk.start(rng)
+        after = walk.fill(whole)
         following = rng.random()
         returns = np.flatnonzero(whole > 0).tolist()
         cut = data.draw(st.sampled_from(["any", "last", "first"])) if data else "last"
@@ -706,41 +709,69 @@ _SEEDS = st.one_of(
 )
 
 
+def _chunk_rows(models, n, per_model, seed):
+    """The increments ``experiments._partial_sum_chunks`` draws, as a
+    (models, per_model, n) array, each chunk's parts checked against its
+    stacked rows."""
+    out = np.empty((len(models) * per_model, n))
+    for start, s, parts in experiments._partial_sum_chunks(models, n, per_model, seed):
+        assert not s[:, 0].any()
+        covered = []
+        for m, part in parts:
+            rows = range(start + part.start, start + part.stop)
+            assert rows[0] // per_model == rows[-1] // per_model == m
+            covered += rows
+        assert covered == list(range(start, start + len(s)))
+        out[start : start + len(s)] = s[:, 1:]
+    return out.reshape(len(models), per_model, n)
+
+
 class TestSampleBatch:
-    """sample_batch draws every row from one re-keyed Philox; row r must be
-    sample_model(model, n, substream(seed, r)) bit for bit."""
+    """A batch of rows as the sampled suites and the dyadic lemma draw it,
+    through ``experiments._partial_sum_chunks``: row r of model m must be
+    ``sample_model(model, n, substream(seed + m, r))`` bit for bit."""
 
     # n from 1 up: the draw counts n + width - 1 take both parities, so a
-    # rademacher row may end on half of a 64-bit draw.
+    # rademacher row may end on half of a 64-bit draw.  The model is
+    # stacked after an iid one, in chunks of 1 to 8 rows or of all rows,
+    # so that chunks hold the end of one model's rows and the start of
+    # the next's.
     @settings(max_examples=200, deadline=None)
-    @given(_MODEL_DOCS, st.integers(min_value=1, max_value=300), st.integers(1, 6), _SEEDS)
-    @example({"kind": "iid", "innovation": "rademacher"}, 1, 3, 2**63 + 5)
-    @example({"kind": "iid", "innovation": "rademacher"}, 7, 4, 8)
-    @example({"kind": "martingale_difference", "modulation": 0.5}, 1, 3, -5)
-    @example({"kind": "linear_process", "coeffs": [1.0, 0.5], "innovation": "uniform"}, 1, 3, 9)
-    @example({"kind": "renewal_chain"}, 1, 4, 0)
-    def test_rows_match_sample_model(self, doc, n, replicates, seed):
-        model = model_from_dict(doc)
-        batch = sample_batch(model, n, replicates, seed)
-        assert batch.shape == (replicates, n) and batch.dtype == np.float64
-        for r in range(replicates):
-            row = sample_model(model, n, substream(seed, r))
-            assert batch[r].tobytes() == row.tobytes(), (doc, n, seed, r)
+    @given(
+        _MODEL_DOCS, st.integers(min_value=1, max_value=300), st.integers(1, 6), _SEEDS,
+        st.sampled_from([1, 2, 3, 8, None]),
+    )
+    @example({"kind": "iid", "innovation": "rademacher"}, 1, 3, 2**63 + 5, None)
+    @example({"kind": "iid", "innovation": "rademacher"}, 7, 4, 8, 3)
+    @example({"kind": "martingale_difference", "modulation": 0.5}, 1, 3, -5, 2)
+    @example({"kind": "linear_process", "coeffs": [1.0, 0.5], "innovation": "uniform"}, 1, 3, 9, None)
+    @example({"kind": "renewal_chain"}, 1, 4, 0, 3)
+    @example({"kind": "renewal_chain"}, 5, 2, 2**64 - 1, 1)
+    def test_rows_match_sample_model(self, doc, n, replicates, seed, rows):
+        models = [iid_model("rademacher"), model_from_dict(doc)]
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(experiments, "_CHUNK_SUMS", rows * (n + 1))
+            batch = _chunk_rows(models, n, replicates, seed)
+        for m, model in enumerate(models):
+            for r in range(replicates):
+                row = sample_model(model, n, substream(seed + m, r))
+                assert batch[m, r].tobytes() == row.tobytes(), (doc, n, seed, m, r)
 
     @pytest.mark.parametrize("p, depth", _CHAINS_BY_DEPTH)
     def test_renewal_rows_match_stepping(self, p, depth):
-        # The oracle draws through Generator.choice; sample_batch looks up
+        # The oracle draws through Generator.choice; the sampler looks up
         # the CDFs it computes once.
         spec = build_renewal_chain(p, depth)
         for n, seed in ((1, 3), (129, 2**63 + 1), (1000, -4)):
-            batch = sample_batch(renewal_model(p, depth), n, 5, seed)
+            (batch,) = _chunk_rows([renewal_model(p, depth)], n, 5, seed)
             for r in range(5):
                 _, ref = stepped_renewal_path(spec, n, seed, index=r)
                 assert batch[r].tobytes() == ref.tobytes()
 
     def test_renewal_rows_span_several_blocks(self):
         spec = build_renewal_chain(3.0, 5)
-        batch = sample_batch(renewal_model(3.0, 5), 60000, 3, 2**63 + 1)
+        (batch,) = _chunk_rows([renewal_model(3.0, 5)], 60000, 3, 2**63 + 1)
         for r in range(3):
             _, ref = stepped_renewal_path(spec, 60000, 2**63 + 1, index=r)
             assert batch[r].tobytes() == ref.tobytes()
@@ -750,17 +781,17 @@ class TestSampleBatch:
     def test_prefix_of_a_longer_batch(self, doc, n, data, seed):
         # A path of length k is the first k steps of the path of length n.
         k = data.draw(st.integers(min_value=1, max_value=n))
-        model = model_from_dict(doc)
-        np.testing.assert_array_equal(sample_batch(model, n, 3, seed)[:, :k],
-                                      sample_batch(model, k, 3, seed))
+        models = [model_from_dict(doc)]
+        np.testing.assert_array_equal(_chunk_rows(models, n, 3, seed)[:, :, :k],
+                                      _chunk_rows(models, k, 3, seed))
 
     def test_rows_cross_chunks(self, monkeypatch):
-        # Several chunks of rows, the last one short.
+        # Several chunks of rows of the window sampler, the last one short.
         import hwip.models as models
 
         monkeypatch.setattr(models, "_CHUNK", 50)
         model = mds_model("rademacher", 0.5)
-        batch = sample_batch(model, 17, 11, 4)
+        (batch,) = _chunk_rows([model], 17, 11, 4)
         for r in range(11):
             assert batch[r].tobytes() == sample_model(model, 17, substream(4, r)).tobytes()
 
